@@ -83,7 +83,7 @@ def _micro(n_integers: int, repeats: int) -> dict[str, float]:
     plan, slot, table, expected = _scan_sum_plan(n_integers, seed=2021)
 
     def run(mode: str) -> None:
-        result = execute(plan, params={slot: (table,)}, mode=mode)
+        result = execute(plan, params={slot: (table,)}, options=RunOptions(mode=mode))
         assert result.rows == [(expected,)]
 
     return _time_modes(run, repeats)
@@ -134,8 +134,8 @@ def _profiler_overhead(n_integers: int, repeats: int) -> dict[str, float]:
     def run(profile: bool = False, metrics: bool = False) -> float:
         start = time.perf_counter()
         result = execute(
-            plan, params={slot: (table,)}, mode="fused", profile=profile,
-            metrics=metrics,
+            plan, params={slot: (table,)},
+            options=RunOptions(mode="fused", profile=profile, metrics=metrics),
         )
         elapsed = time.perf_counter() - start
         assert result.rows == [(expected,)]

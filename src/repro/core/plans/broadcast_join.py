@@ -17,65 +17,23 @@ exploited by the optimizer's strategy rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.executor import ExecutionReport, execute
-from repro.core.functions import RadixPartition
 from repro.core.operator import Operator
-from repro.core.options import UNSET, RunOptions, coerce_options
-from repro.core.operators import (
-    BuildProbe,
-    LocalHistogram,
-    MaterializeRowVector,
-    MpiBroadcast,
-    MpiExecutor,
-    MpiHistogram,
-    ParameterLookup,
-    ParameterSlot,
-    Projection,
-    RowScan,
-)
+from repro.core.operators import BuildProbe, ParameterSlot
+from repro.core.plans.fragments import DistributedPlan, broadcast_build, shard_scan
 from repro.errors import TypeCheckError
 from repro.mpi.cluster import SimCluster
-from repro.types.collections import RowVector, row_vector_type
+from repro.types.collections import row_vector_type
 from repro.types.tuples import TupleType
 
 __all__ = ["BroadcastJoinPlan", "build_broadcast_join"]
 
 
-@dataclass
-class BroadcastJoinPlan:
-    """A ready-to-run broadcast join plus its binding points."""
+class BroadcastJoinPlan(DistributedPlan):
+    """A ready-to-run broadcast join: ``run(small, big, options)`` joins
+    ``small ⋈ big``, replicating the small relation."""
 
-    root: Operator
-    slot: ParameterSlot
-    executor: MpiExecutor
-    output_type: TupleType
-    cluster: SimCluster
-
-    def run(
-        self,
-        small: RowVector,
-        big: RowVector,
-        options: RunOptions | None = None,
-        *,
-        mode=UNSET,
-        profile=UNSET,
-        metrics=UNSET,
-        faults=UNSET,
-        sanitize=UNSET,
-    ) -> ExecutionReport:
-        """Join ``small ⋈ big``; the small relation is replicated."""
-        options = coerce_options(
-            options, "BroadcastJoinPlan.run()", mode=mode, profile=profile,
-            metrics=metrics, faults=faults, sanitize=sanitize,
-        )
-        return execute(self.root, params={self.slot: (small, big)}, options=options)
-
-    @staticmethod
-    def matches(result: ExecutionReport) -> RowVector:
-        (row,) = result.rows
-        return row[0]
+    inputs = ("small", "big")
+    matches = staticmethod(DistributedPlan.output)
 
 
 def build_broadcast_join(
@@ -101,38 +59,13 @@ def build_broadcast_join(
             f"non-key fields must have distinct names; both sides define "
             f"{sorted(clash)}"
         )
-
     slot = ParameterSlot(
         TupleType.of(small=row_vector_type(small_type), big=row_vector_type(big_type))
     )
 
     def build_worker(worker_slot: ParameterSlot) -> Operator:
-        small_scan = RowScan(
-            Projection(ParameterLookup(worker_slot), ["small"]),
-            field="small",
-            shard_by_rank=True,
-        )
-        # The broadcast consumes a single-bucket histogram pair: how many
-        # tuples each rank contributes, and the global total.
-        local_count = LocalHistogram(small_scan, RadixPartition(key, 1))
-        global_count = MpiHistogram(local_count, 1)
-        replicated = MpiBroadcast(small_scan, local_count, global_count)
+        replicated = broadcast_build(shard_scan(worker_slot, "small"), key)
+        big_scan = shard_scan(worker_slot, "big")
+        return BuildProbe(replicated, big_scan, keys=key, join_type=join_type)
 
-        big_scan = RowScan(
-            Projection(ParameterLookup(worker_slot), ["big"]),
-            field="big",
-            shard_by_rank=True,
-        )
-        probe = BuildProbe(replicated, big_scan, keys=key, join_type=join_type)
-        return MaterializeRowVector(probe, field="result")
-
-    executor = MpiExecutor(ParameterLookup(slot), build_worker, cluster)
-    flat = RowScan(executor, field="result")
-    root = MaterializeRowVector(flat, field="result")
-    return BroadcastJoinPlan(
-        root=root,
-        slot=slot,
-        executor=executor,
-        output_type=root.output_type,
-        cluster=cluster,
-    )
+    return BroadcastJoinPlan.assemble(slot, cluster, build_worker)

@@ -11,78 +11,42 @@ post-aggregation on the driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.compression import RadixCompression
-from repro.core.executor import ExecutionReport, execute
-from repro.core.options import UNSET, RunOptions, coerce_options
-from repro.core.functions import (
-    ParamTupleFunction,
-    RadixPartition,
-    ReduceFunction,
-    field_sum,
-)
+from repro.core.functions import ParamTupleFunction, ReduceFunction, field_sum
 from repro.core.operator import Operator
 from repro.core.operators import (
-    CartesianProduct,
-    NicPartialAggregate,
-    LocalHistogram,
-    LocalPartitioning,
     MaterializeRowVector,
-    MpiExchange,
-    MpiExecutor,
-    MpiHistogram,
-    NestedMap,
+    NicPartialAggregate,
     ParameterLookup,
     ParameterSlot,
     ParametrizedMap,
     Projection,
     ReduceByKey,
-    RowScan,
+)
+from repro.core.plans.fragments import (
+    DistributedPlan,
+    field_scan,
+    partitioned_join,
+    radix_partitioners,
+    resolve_network_fanout,
+    shard_scan,
 )
 from repro.errors import TypeCheckError
 from repro.mpi.cluster import SimCluster
 from repro.types.atoms import INT64
-from repro.types.collections import RowVector, row_vector_type
+from repro.types.collections import row_vector_type
 from repro.types.tuples import TupleType
 
 __all__ = ["DistributedGroupByPlan", "build_distributed_groupby"]
 
 
-@dataclass
-class DistributedGroupByPlan:
-    """A ready-to-run distributed GROUP BY plan plus its binding points."""
+class DistributedGroupByPlan(DistributedPlan):
+    """A ready-to-run distributed GROUP BY: ``run(table, options)``."""
 
-    root: Operator
-    slot: ParameterSlot
-    executor: MpiExecutor
-    output_type: TupleType
-    cluster: SimCluster
-
-    def run(
-        self,
-        table: RowVector,
-        options: RunOptions | None = None,
-        *,
-        mode=UNSET,
-        profile=UNSET,
-        metrics=UNSET,
-        faults=UNSET,
-        sanitize=UNSET,
-    ) -> ExecutionReport:
-        options = coerce_options(
-            options, "DistributedGroupByPlan.run()", mode=mode, profile=profile,
-            metrics=metrics, faults=faults, sanitize=sanitize,
-        )
-        return execute(self.root, params={self.slot: (table,)}, options=options)
-
-    @staticmethod
-    def groups(result: ExecutionReport) -> RowVector:
-        """Extract the materialized ⟨key, aggregate⟩ output."""
-        (row,) = result.rows
-        return row[0]
+    inputs = ("table",)
+    groups = staticmethod(DistributedPlan.output)
 
 
 def build_distributed_groupby(
@@ -127,108 +91,48 @@ def build_distributed_groupby(
         )
     value = values[0]
     fn = reduce_fn or field_sum(value)
-
-    n_net = network_fanout or _next_power_of_two(cluster.n_ranks)
-    if n_net & (n_net - 1):
-        raise TypeCheckError(f"network fan-out must be a power of two, got {n_net}")
-    fanout_bits = n_net.bit_length() - 1
+    n_net, fanout_bits = resolve_network_fanout(cluster, network_fanout)
     comp = RadixCompression(key_bits, fanout_bits) if compression else None
-
+    net_fn, local_fn = radix_partitioners(key, n_net, local_fanout, comp)
     slot = ParameterSlot(TupleType.of(table=row_vector_type(input_type)))
 
+    def merge(stream: Operator) -> Operator:
+        return ReduceByKey(stream, key, fn)
+
     def build_worker(worker_slot: ParameterSlot) -> Operator:
+        scan: Operator = shard_scan(worker_slot, "table")
         # The single-field projection is an identity (MOD022), but removing
         # it would shift the cost model's per-phase charging that the
         # benchmarks assert on; keep it and record the deviation.
-        scan: Operator = RowScan(
-            Projection(ParameterLookup(worker_slot), ["table"]).suppress(
-                "MOD022"
-            ),
-            field="table",
-            shard_by_rank=True,
-        )
+        scan.upstreams[0].suppress("MOD022")
         if offload == "host":
             scan = ReduceByKey(scan, key, fn)
         elif offload == "nic":
             scan = NicPartialAggregate(scan, key, fn)
-        net_fn = RadixPartition(key, n_net)
-        local_hist = LocalHistogram(scan, net_fn)
-        global_hist = MpiHistogram(local_hist, n_net)
-        exchange = MpiExchange(
-            scan, local_hist, global_hist, net_fn,
-            compression=comp, id_field="net", data_field="data",
+        return partitioned_join(
+            [scan],
+            net_fn,
+            local_fn,
+            lambda s: _build_local_partition_plan(s, key, value, comp, fn),
+            sub_data="sdata",
+            merge=merge,
+            compression=comp,
+            with_partition_id=True,
         )
-        aggregated = NestedMap(
-            exchange,
-            lambda s: _build_network_partition_plan(
-                s, key, value, input_type, local_fanout, key_bits, fanout_bits,
-                comp, fn,
-            ),
-        )
-        flat = RowScan(aggregated, field="agg")
-        merged = ReduceByKey(flat, key, fn)
-        return MaterializeRowVector(merged, field="result")
 
-    executor = MpiExecutor(ParameterLookup(slot), build_worker, cluster)
-    flat = RowScan(executor, field="result")
     # Final post-aggregation of all results received on the driver (§4.3).
-    final = ReduceByKey(flat, key, fn)
-    root = MaterializeRowVector(final, field="result")
-    return DistributedGroupByPlan(
-        root=root,
-        slot=slot,
-        executor=executor,
-        output_type=root.output_type,
-        cluster=cluster,
-    )
-
-
-def _build_network_partition_plan(
-    slot: ParameterSlot,
-    key: str,
-    value: str,
-    kv_type: TupleType,
-    local_fanout: int,
-    key_bits: int,
-    fanout_bits: int,
-    comp: RadixCompression | None,
-    fn: ReduceFunction,
-) -> Operator:
-    """First-level nested plan: locally partition and aggregate one network
-    partition, then post-aggregate across its local partitions."""
-    pid = Projection(ParameterLookup(slot), ["net"])
-    stream = RowScan(Projection(ParameterLookup(slot), ["data"]))
-    if comp is not None:
-        local_fn = RadixPartition("packed", local_fanout, shift=key_bits)
-    else:
-        local_fn = RadixPartition(key, local_fanout, shift=fanout_bits)
-    hist = LocalHistogram(stream, local_fn)
-    # Second-pass histograms count toward the local-partitioning phase.
-    hist.phase_name = "local_partition"
-    partitioned = LocalPartitioning(
-        stream, hist, local_fn, id_field="sub", data_field="sdata"
-    )
-    pairs = CartesianProduct(pid, partitioned)  # ⟨net, sub, sdata⟩ triples
-    aggregated = NestedMap(
-        pairs,
-        lambda s: _build_local_partition_plan(s, key, value, kv_type, key_bits, comp, fn),
-    )
-    flat = RowScan(aggregated, field="agg")
-    merged = ReduceByKey(flat, key, fn)
-    return MaterializeRowVector(merged, field="agg")
+    return DistributedGroupByPlan.assemble(slot, cluster, build_worker, merge)
 
 
 def _build_local_partition_plan(
     slot: ParameterSlot,
     key: str,
     value: str,
-    kv_type: TupleType,
-    key_bits: int,
     comp: RadixCompression | None,
     fn: ReduceFunction,
 ) -> Operator:
-    """Second-level nested plan: decompress and aggregate one local partition."""
-    stream = RowScan(Projection(ParameterLookup(slot), ["sdata"]))
+    """Leaf plan: decompress and aggregate one local partition."""
+    stream: Operator = field_scan(slot, "sdata")
     if comp is not None:
         pid = Projection(ParameterLookup(slot), ["net"])
         stream = ParametrizedMap(stream, pid, _decompress_fn(comp, key, value))
@@ -254,10 +158,3 @@ def _decompress_fn(
         return (((packed >> key_bits) << fanout_bits) | param[0], packed & mask)
 
     return ParamTupleFunction(scalar, output_type, vectorized)
-
-
-def _next_power_of_two(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power

@@ -11,44 +11,40 @@ the network partition ID.
 
 None of the sub-operators used here is specific to this join — the paper's
 headline modularity claim — and swapping ``join_type`` (inner/semi/anti/
-left_outer) changes only the BuildProbe probe policy.
+left_outer) changes only the BuildProbe probe policy.  Everything but the
+leaf plan comes from :mod:`repro.core.plans.fragments`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.compression import RadixCompression
-from repro.core.executor import ExecutionReport, execute
-from repro.core.functions import ParamTupleFunction, RadixPartition, TupleFunction
-from repro.core.options import UNSET, RunOptions, coerce_options
+from repro.core.functions import ParamTupleFunction, TupleFunction
 from repro.core.operator import Operator
 from repro.core.operators import (
     BuildProbe,
     LocalSort,
-    MergeJoin,
-    CartesianProduct,
-    LocalHistogram,
-    LocalPartitioning,
     Map,
     MaterializeRowVector,
-    MpiExchange,
-    MpiExecutor,
-    MpiHistogram,
-    NestedMap,
+    MergeJoin,
     ParameterLookup,
     ParameterSlot,
     ParametrizedMap,
     Projection,
-    RowScan,
-    Zip,
+)
+from repro.core.plans.fragments import (
+    DistributedPlan,
+    field_scan,
+    partitioned_join,
+    radix_partitioners,
+    resolve_network_fanout,
+    shard_scan,
 )
 from repro.errors import TypeCheckError
 from repro.mpi.cluster import SimCluster
 from repro.types.atoms import INT64
-from repro.types.collections import RowVector, row_vector_type
+from repro.types.collections import row_vector_type
 from repro.types.tuples import TupleType
 
 __all__ = ["DistributedJoinPlan", "build_distributed_join"]
@@ -67,40 +63,11 @@ def _two_column_check(side: str, tuple_type: TupleType, key: str) -> str:
     return payloads[0]
 
 
-@dataclass
-class DistributedJoinPlan:
-    """A ready-to-run distributed join plan plus its binding points."""
+class DistributedJoinPlan(DistributedPlan):
+    """A ready-to-run distributed join: ``run(left, right, options)``."""
 
-    root: Operator
-    slot: ParameterSlot
-    executor: MpiExecutor
-    output_type: TupleType
-    cluster: SimCluster
-
-    def run(
-        self,
-        left: RowVector,
-        right: RowVector,
-        options: RunOptions | None = None,
-        *,
-        mode=UNSET,
-        profile=UNSET,
-        metrics=UNSET,
-        faults=UNSET,
-        sanitize=UNSET,
-    ) -> ExecutionReport:
-        """Execute the join on two driver-resident relations."""
-        options = coerce_options(
-            options, "DistributedJoinPlan.run()", mode=mode, profile=profile,
-            metrics=metrics, faults=faults, sanitize=sanitize,
-        )
-        return execute(self.root, params={self.slot: (left, right)}, options=options)
-
-    @staticmethod
-    def matches(result: ExecutionReport) -> RowVector:
-        """Extract the materialized join output from an execution result."""
-        (row,) = result.rows
-        return row[0]
+    inputs = ("left", "right")
+    matches = staticmethod(DistributedPlan.output)
 
 
 def build_distributed_join(
@@ -138,10 +105,7 @@ def build_distributed_join(
     """
     if algorithm not in ("hash", "sortmerge"):
         raise TypeCheckError(f"unknown join algorithm {algorithm!r}")
-    n_net = network_fanout or _next_power_of_two(cluster.n_ranks)
-    if n_net & (n_net - 1):
-        raise TypeCheckError(f"network fan-out must be a power of two, got {n_net}")
-    fanout_bits = n_net.bit_length() - 1
+    n_net, fanout_bits = resolve_network_fanout(cluster, network_fanout)
     left_payload = _two_column_check("left", left_type, key)
     right_payload = _two_column_check("right", right_type, key)
     if left_payload == right_payload:
@@ -150,7 +114,7 @@ def build_distributed_join(
             f"{left_payload!r}"
         )
     comp = RadixCompression(key_bits, fanout_bits) if compression else None
-
+    net_fn, local_fn = radix_partitioners(key, n_net, local_fanout, comp)
     slot = ParameterSlot(
         TupleType.of(
             left=row_vector_type(left_type), right=row_vector_type(right_type)
@@ -158,98 +122,19 @@ def build_distributed_join(
     )
 
     def build_worker(worker_slot: ParameterSlot) -> Operator:
-        exchanged = []
-        for side, pid_field, data_field in (
-            ("left", "net_l", "data_l"),
-            ("right", "net_r", "data_r"),
-        ):
-            scan = RowScan(
-                Projection(ParameterLookup(worker_slot), [side]),
-                field=side,
-                shard_by_rank=True,
-            )
-            net_fn = RadixPartition(key, n_net)
-            local_hist = LocalHistogram(scan, net_fn)
-            global_hist = MpiHistogram(local_hist, n_net)
-            exchanged.append(
-                MpiExchange(
-                    scan,
-                    local_hist,
-                    global_hist,
-                    net_fn,
-                    compression=comp,
-                    id_field=pid_field,
-                    data_field=data_field,
-                )
-            )
-        zipped = Zip(exchanged)
-        joined = NestedMap(
-            zipped,
-            lambda s: _build_network_partition_plan(
-                s, key, left_payload, right_payload, local_fanout, key_bits,
-                fanout_bits, comp, join_type, algorithm,
+        return partitioned_join(
+            [shard_scan(worker_slot, "left"), shard_scan(worker_slot, "right")],
+            net_fn,
+            local_fn,
+            lambda s: _build_sub_partition_plan(
+                s, key, left_payload, right_payload, comp, join_type, algorithm
             ),
-        )
-        flat = RowScan(joined, field="matches")
-        return MaterializeRowVector(flat, field="result")
-
-    executor = MpiExecutor(ParameterLookup(slot), build_worker, cluster)
-    flat = RowScan(executor, field="result")
-    root = MaterializeRowVector(flat, field="result")
-    return DistributedJoinPlan(
-        root=root,
-        slot=slot,
-        executor=executor,
-        output_type=root.output_type,
-        cluster=cluster,
-    )
-
-
-def _build_network_partition_plan(
-    slot: ParameterSlot,
-    key: str,
-    left_payload: str,
-    right_payload: str,
-    local_fanout: int,
-    key_bits: int,
-    fanout_bits: int,
-    comp: RadixCompression | None,
-    join_type: str,
-    algorithm: str,
-) -> Operator:
-    """First-level nested plan: sub-partition one network partition pair."""
-    lookup = ParameterLookup(slot)
-    pid = Projection(lookup, ["net_l"])
-    def local_side(data_field: str, sub_id: str, sub_data: str) -> LocalPartitioning:
-        stream = RowScan(Projection(ParameterLookup(slot), [data_field]))
-        if comp is not None:
-            # The wire carries packed words whose low ``key_bits`` are the
-            # payload; the compressed key (network bits already dropped)
-            # starts right above them.
-            local_fn = RadixPartition("packed", local_fanout, shift=key_bits)
-        else:
-            # Sub-partition on the key bits right above the network bits.
-            local_fn = RadixPartition(key, local_fanout, shift=fanout_bits)
-        hist = LocalHistogram(stream, local_fn)
-        # The second-pass histogram is part of the local-partitioning phase
-        # in the paper's accounting (it feeds the in-memory scatter).
-        hist.phase_name = "local_partition"
-        return LocalPartitioning(
-            stream, hist, local_fn, id_field=sub_id, data_field=sub_data
+            sub_data="sdata",
+            compression=comp,
+            with_partition_id=True,
         )
 
-    left = local_side("data_l", "sub_l", "sdata_l")
-    right = local_side("data_r", "sub_r", "sdata_r")
-    pairs = CartesianProduct(pid, Zip([left, right]))
-    joined = NestedMap(
-        pairs,
-        lambda s: _build_sub_partition_plan(
-            s, key, left_payload, right_payload, key_bits, comp, join_type,
-            algorithm,
-        ),
-    )
-    flat = RowScan(joined, field="matches")
-    return MaterializeRowVector(flat, field="matches")
+    return DistributedJoinPlan.assemble(slot, cluster, build_worker)
 
 
 def _build_sub_partition_plan(
@@ -257,36 +142,31 @@ def _build_sub_partition_plan(
     key: str,
     left_payload: str,
     right_payload: str,
-    key_bits: int,
     comp: RadixCompression | None,
     join_type: str,
-    algorithm: str = "hash",
+    algorithm: str,
 ) -> Operator:
-    """Second-level nested plan: join one sub-partition pair in memory."""
-    pid = Projection(ParameterLookup(slot), ["net_l"])
-    left_stream = RowScan(Projection(ParameterLookup(slot), ["sdata_l"]))
-    right_stream = RowScan(Projection(ParameterLookup(slot), ["sdata_r"]))
-
-    def join_pair(left_side: Operator, right_side: Operator, join_key: str) -> Operator:
-        if algorithm == "sortmerge":
-            return MergeJoin(
-                LocalSort(left_side, join_key),
-                LocalSort(right_side, join_key),
-                key=join_key,
-                join_type=join_type,
-            )
-        return BuildProbe(left_side, right_side, keys=join_key, join_type=join_type)
-
-    if comp is None:
-        return MaterializeRowVector(
-            join_pair(left_stream, right_stream, key), field="matches"
+    """Leaf plan: join one sub-partition pair in memory."""
+    left_stream: Operator = field_scan(slot, "sdata_l")
+    right_stream: Operator = field_scan(slot, "sdata_r")
+    join_key = key
+    if comp is not None:
+        left_stream = Map(left_stream, _unpack_fn(comp, "ckey", left_payload))
+        right_stream = Map(right_stream, _unpack_fn(comp, "ckey", right_payload))
+        join_key = "ckey"
+    if algorithm == "sortmerge":
+        joined: Operator = MergeJoin(
+            LocalSort(left_stream, join_key),
+            LocalSort(right_stream, join_key),
+            key=join_key,
+            join_type=join_type,
         )
-
-    left_kv = Map(left_stream, _unpack_fn(comp, "ckey", left_payload))
-    right_kv = Map(right_stream, _unpack_fn(comp, "ckey", right_payload))
-    probe = join_pair(left_kv, right_kv, "ckey")
-    recover = ParametrizedMap(probe, pid, _recover_fn(comp, key, probe.output_type))
-    return MaterializeRowVector(recover, field="matches")
+    else:
+        joined = BuildProbe(left_stream, right_stream, keys=join_key, join_type=join_type)
+    if comp is not None:
+        pid = Projection(ParameterLookup(slot), ["net_l"])
+        joined = ParametrizedMap(joined, pid, _recover_fn(comp, key, joined.output_type))
+    return MaterializeRowVector(joined, field="matches")
 
 
 def _unpack_fn(comp: RadixCompression, key_field: str, payload: str) -> TupleFunction:
@@ -322,10 +202,3 @@ def _recover_fn(
         return (restored,) + tuple(columns[1:])
 
     return ParamTupleFunction(scalar, output_type, vectorized)
-
-
-def _next_power_of_two(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power

@@ -28,7 +28,8 @@ execution, total on the simulated axis; queue wait on the informational
 wall axis).  Journals attach to
 :class:`~repro.serving.server.QueryOutcome` and aggregate per prepared
 plan in the registry (:meth:`~repro.serving.registry.PlanRegistry.stats_for`)
-— the observed-behaviour feed ROADMAP item 2's re-optimizer needs.
+— the observed-behaviour feed that a re-optimizer for cost-based
+sub-operator choice needs.
 """
 
 from __future__ import annotations

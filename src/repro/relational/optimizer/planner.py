@@ -14,7 +14,8 @@ Lowering steps:
 2. pattern-match the plan into two *sides* (scan → filter → payload
    projection), a join kind, an optional residual post-join filter, and an
    aggregation (grouped or scalar) with an optional final projection;
-3. emit the physical plan: per rank, each side runs
+3. emit the physical plan from the shared fragments of
+   :mod:`repro.core.plans.fragments`: per rank, each side runs
    ``RowScan → Filter → Map → LocalHistogram → MpiHistogram → MpiExchange``
    (hash partitioning — TPC-H keys are not dense, so no radix compression),
    the sides are zipped and joined through the two nested-map levels, and
@@ -25,6 +26,7 @@ Lowering steps:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,22 +43,21 @@ from repro.core.operators import (
     BuildProbe,
     Filter,
     Limit,
-    LocalHistogram,
     LocalSort,
-    LocalPartitioning,
     Map,
     MaterializeRowVector,
-    MpiExchange,
     MpiExecutor,
-    MpiHistogram,
-    NestedMap,
-    ParameterLookup,
     ParameterSlot,
-    Projection,
     Reduce,
     ReduceByKey,
-    RowScan,
-    Zip,
+)
+from repro.core.plans.fragments import (
+    broadcast_build,
+    cascade_probe,
+    mpi_driver,
+    pair_probe,
+    partitioned_join,
+    shard_scan,
 )
 from repro.errors import PlanError
 from repro.mpi.cluster import SimCluster
@@ -575,187 +576,89 @@ def lower_to_modularis(
     ):
         degraded_from, strategy = "broadcast", "exchange"
 
-    left_schema = _pruned_schema(catalog, shape.left)
-    if shape.right is None:
-        slot = ParameterSlot(TupleType.of(left=row_vector_type(left_schema)))
-        right_schema = None
-        stage_schemas = []
-    else:
-        right_schema = _pruned_schema(catalog, shape.right)
-        stage_schemas = [
-            _pruned_schema(catalog, stage.side) for stage in shape.extra_stages
-        ]
-        slot_fields = {
-            "left": row_vector_type(left_schema),
-            "right": row_vector_type(right_schema),
-        }
-        for i, schema in enumerate(stage_schemas):
-            slot_fields[f"stage{i}"] = row_vector_type(schema)
-        slot = ParameterSlot(TupleType.of(**slot_fields))
-
-    def side_stream(worker_slot: ParameterSlot, side: _Side, schema, param: str) -> Operator:
-        stream: Operator = RowScan(
-            Projection(ParameterLookup(worker_slot), [param]),
-            field=param,
-            shard_by_rank=True,
+    sides = [("left", shape.left)]
+    if shape.right is not None:
+        sides.append(("right", shape.right))
+        sides += [(f"stage{i}", st.side) for i, st in enumerate(shape.extra_stages)]
+    schemas = [_pruned_schema(catalog, side) for _, side in sides]
+    slot = ParameterSlot(
+        TupleType.of(
+            **{param: row_vector_type(s) for (param, _), s in zip(sides, schemas)}
         )
-        if side.predicate is not None:
-            stream = Filter(stream, _expr_predicate(side.predicate, schema))
-        return Map(stream, _expr_tuple_fn(side.outputs, schema))
+    )
 
-    def build_worker_exchange(worker_slot: ParameterSlot) -> Operator:
-        exchanged = []
-        for side, schema, param, pid_field, data_field in (
-            (shape.left, left_schema, "left", "net_l", "data_l"),
-            (shape.right, right_schema, "right", "net_r", "data_r"),
-        ):
-            stream = side_stream(worker_slot, side, schema, param)
-            net_fn = HashPartition(shape.key, n_net, salt=0)
-            local_hist = LocalHistogram(stream, net_fn)
-            global_hist = MpiHistogram(local_hist, n_net)
-            exchanged.append(
-                MpiExchange(
-                    stream, local_hist, global_hist, net_fn,
-                    id_field=pid_field, data_field=data_field,
-                )
+    def merge(stream: Operator) -> Operator:
+        return _merge_partials(stream, shape)
+
+    def aggregate(stream: Operator) -> Operator:
+        """Post-join processing and pre-aggregation inside a leaf plan."""
+        return MaterializeRowVector(merge(_post_join(stream, shape)), field="agg")
+
+    def hash_join(streams: list[Operator], key: str, leaf, level_merge=None) -> Operator:
+        # Hash partitioning: TPC-H keys are not dense, so no radix
+        # compression; the two levels use independent hash salts.
+        return partitioned_join(
+            streams,
+            partial(HashPartition, key, n_net, salt=0),
+            partial(HashPartition, key, local_fanout, salt=1),
+            leaf,
+            merge=level_merge,
+        )
+
+    def build_worker(worker_slot: ParameterSlot) -> Operator:
+        streams = []
+        for (param, side), schema in zip(sides, schemas):
+            stream: Operator = shard_scan(worker_slot, param)
+            if side.predicate is not None:
+                stream = Filter(stream, _expr_predicate(side.predicate, schema))
+            streams.append(Map(stream, _expr_tuple_fn(side.outputs, schema)))
+        key, kind = shape.key, shape.join_kind
+        if strategy == "exchange":
+            return hash_join(
+                streams, key, lambda s: aggregate(pair_probe(s, key, kind)), merge
             )
-        zipped = Zip(exchanged)
-        joined = NestedMap(
-            zipped, lambda s: _level1(s, shape, local_fanout)
-        )
-        flat = RowScan(joined, field="agg")
-        merged = _merge_partials(flat, shape)
-        return MaterializeRowVector(merged, field="result")
-
-    def build_worker_broadcast(worker_slot: ParameterSlot) -> Operator:
-        from repro.core.functions import RadixPartition
-        from repro.core.operators import MpiBroadcast
-
-        build = side_stream(worker_slot, shape.left, left_schema, "left")
-        local_count = LocalHistogram(build, RadixPartition(shape.key, 1))
-        global_count = MpiHistogram(local_count, 1)
-        replicated = MpiBroadcast(build, local_count, global_count)
-        probe = side_stream(worker_slot, shape.right, right_schema, "right")
-        stream = _post_join(
-            BuildProbe(replicated, probe, keys=shape.key, join_type=shape.join_kind),
-            shape,
-        )
-        merged = _merge_partials(stream, shape)
-        return MaterializeRowVector(merged, field="result")
-
-    def build_worker_single(worker_slot: ParameterSlot) -> Operator:
-        stream = side_stream(worker_slot, shape.left, left_schema, "left")
-        merged = _merge_partials(_post_join(stream, shape), shape)
-        return MaterializeRowVector(merged, field="result")
-
-    def build_worker_cascade(worker_slot: ParameterSlot) -> Operator:
-        """Same-key join chain: the Figure 4 'optimized' plan shape.
-
-        All N+1 relations are network-partitioned up front on the shared
-        key; per partition, the sides are locally partitioned and joined
-        by a chain of BuildProbes whose intermediates never materialize or
-        re-shuffle.
-        """
-        sides = [
-            ("left", shape.left, left_schema),
-            ("right", shape.right, right_schema),
-        ] + [
-            (f"stage{i}", stage.side, stage_schemas[i])
-            for i, stage in enumerate(shape.extra_stages)
-        ]
-        exchanged = []
-        for i, (param, side, schema) in enumerate(sides):
-            stream = side_stream(worker_slot, side, schema, param)
-            net_fn = HashPartition(shape.key, n_net, salt=0)
-            local_hist = LocalHistogram(stream, net_fn)
-            global_hist = MpiHistogram(local_hist, n_net)
-            exchanged.append(
-                MpiExchange(
-                    stream, local_hist, global_hist, net_fn,
-                    id_field=f"net{i}", data_field=f"data{i}",
-                )
+        if strategy == "cascade":
+            # Same-key chain: the Figure 4 'optimized' plan shape.
+            k = len(streams)
+            return hash_join(
+                streams, key, lambda s: aggregate(cascade_probe(s, key, k)), merge
             )
-        zipped = Zip(exchanged)
-        k = len(sides)
-
-        def level1(slot: ParameterSlot) -> Operator:
-            partitioned = []
-            for i in range(k):
-                stream = RowScan(Projection(ParameterLookup(slot), [f"data{i}"]))
-                local_fn = HashPartition(shape.key, local_fanout, salt=1)
-                hist = LocalHistogram(stream, local_fn)
-                hist.phase_name = "local_partition"
-                partitioned.append(
-                    LocalPartitioning(
-                        stream, hist, local_fn,
-                        id_field=f"sub{i}", data_field=f"sd{i}",
-                    )
+        stream = streams[0]
+        if strategy == "broadcast":
+            build = broadcast_build(stream, key)
+            stream = BuildProbe(build, streams[1], keys=key, join_type=kind)
+        elif strategy == "multistage":
+            # One full exchange join per stage.  From the second stage on,
+            # the previous stage's output feeds both the histogram and the
+            # exchange, so the plan compiler materializes it: the
+            # intermediate-result materialization every re-shuffling join
+            # chain pays (§5.2.1).
+            stages = [(key, kind)] + [(st.key, st.kind) for st in shape.extra_stages]
+            for other, (key, kind) in zip(streams[1:], stages):
+                stream = hash_join(
+                    [stream, other], key,
+                    lambda s: MaterializeRowVector(
+                        pair_probe(s, key, kind), field="matches"
+                    ),
                 )
-            pairs = Zip(partitioned)
+        return merge(_post_join(stream, shape))
 
-            def level2(slot2: ParameterSlot) -> Operator:
-                acc = RowScan(Projection(ParameterLookup(slot2), ["sd0"]))
-                for i in range(1, k):
-                    side_scan = RowScan(
-                        Projection(ParameterLookup(slot2), [f"sd{i}"])
-                    )
-                    acc = BuildProbe(side_scan, acc, keys=shape.key)
-                merged = _merge_partials(_post_join(acc, shape), shape)
-                return MaterializeRowVector(merged, field="agg")
-
-            joined = NestedMap(pairs, level2)
-            flat = RowScan(joined, field="agg")
-            merged = _merge_partials(flat, shape)
-            return MaterializeRowVector(merged, field="agg")
-
-        joined = NestedMap(zipped, level1)
-        flat = RowScan(joined, field="agg")
-        merged = _merge_partials(flat, shape)
-        return MaterializeRowVector(merged, field="result")
-
-    def build_worker_multistage(worker_slot: ParameterSlot) -> Operator:
-        stream = _exchange_join_stage(
-            side_stream(worker_slot, shape.left, left_schema, "left"),
-            side_stream(worker_slot, shape.right, right_schema, "right"),
-            shape.key,
-            shape.join_kind,
-            n_net,
-            local_fanout,
-        )
-        for i, stage in enumerate(shape.extra_stages):
-            stream = _exchange_join_stage(
-                stream,
-                side_stream(worker_slot, stage.side, stage_schemas[i], f"stage{i}"),
-                stage.key,
-                stage.kind,
-                n_net,
-                local_fanout,
+    def finish(stream: Operator) -> Operator:
+        """Driver-side final aggregation, projection, ORDER BY and LIMIT."""
+        stream = merge(stream)
+        if shape.final_outputs is not None:
+            stream = Map(
+                stream, _expr_tuple_fn(shape.final_outputs, stream.output_type)
             )
-        merged = _merge_partials(_post_join(stream, shape), shape)
-        return MaterializeRowVector(merged, field="result")
+        if shape.order_by is not None:
+            stream = LocalSort(
+                stream, shape.order_by, descending=shape.order_descending
+            )
+        if shape.limit is not None:
+            stream = Limit(stream, shape.limit)
+        return stream
 
-    if strategy == "scan":
-        build_worker = build_worker_single
-    elif strategy == "broadcast":
-        build_worker = build_worker_broadcast
-    elif strategy == "multistage":
-        build_worker = build_worker_multistage
-    elif strategy == "cascade":
-        build_worker = build_worker_cascade
-    else:
-        build_worker = build_worker_exchange
-    executor = MpiExecutor(ParameterLookup(slot), build_worker, cluster)
-    flat = RowScan(executor, field="result")
-    final = _merge_partials(flat, shape)
-    if shape.final_outputs is not None:
-        final = Map(
-            final, _expr_tuple_fn(shape.final_outputs, final.output_type)
-        )
-    if shape.order_by is not None:
-        final = LocalSort(final, shape.order_by, descending=shape.order_descending)
-    if shape.limit is not None:
-        final = Limit(final, shape.limit)
-    root = MaterializeRowVector(final, field="result")
+    root, executor = mpi_driver(slot, cluster, build_worker, finish)
     if degraded_from is not None:
         # The memory-pressure fallback is a machine-made plan rewrite:
         # re-verify it here, before anything executes it, the same way the
@@ -787,105 +690,8 @@ def _merge_partials(stream: Operator, shape: _Shape) -> Operator:
     return Reduce(stream, _agg_reduce_fn(shape.aggregates))
 
 
-def _exchange_join_stage(
-    left: Operator,
-    right: Operator,
-    key: str,
-    kind: str,
-    n_net: int,
-    local_fanout: int,
-) -> Operator:
-    """One full exchange-join stage returning a flat match stream.
-
-    Used by the multi-join lowering: both inputs run the LocalHistogram →
-    MpiHistogram → MpiExchange ladder on ``key``, corresponding partitions
-    are zipped, locally partitioned, and joined — the Figure 3 pattern with
-    the stage's own key.  When ``left`` is the previous stage's output it
-    has two consumers (histogram and exchange), so the plan compiler
-    materializes it: the intermediate-result materialization every
-    re-shuffling join chain pays (§5.2.1).
-    """
-    exchanged = []
-    for stream, pid_field, data_field in (
-        (left, "net_l", "data_l"),
-        (right, "net_r", "data_r"),
-    ):
-        net_fn = HashPartition(key, n_net, salt=0)
-        local_hist = LocalHistogram(stream, net_fn)
-        global_hist = MpiHistogram(local_hist, n_net)
-        exchanged.append(
-            MpiExchange(
-                stream, local_hist, global_hist, net_fn,
-                id_field=pid_field, data_field=data_field,
-            )
-        )
-    zipped = Zip(exchanged)
-
-    def level1(slot: ParameterSlot) -> Operator:
-        partitioned = []
-        for data_field, sub_id, sub_data in (
-            ("data_l", "sub_l", "sd_l"),
-            ("data_r", "sub_r", "sd_r"),
-        ):
-            stream = RowScan(Projection(ParameterLookup(slot), [data_field]))
-            local_fn = HashPartition(key, local_fanout, salt=1)
-            hist = LocalHistogram(stream, local_fn)
-            hist.phase_name = "local_partition"
-            partitioned.append(
-                LocalPartitioning(
-                    stream, hist, local_fn, id_field=sub_id, data_field=sub_data
-                )
-            )
-        pairs = Zip(partitioned)
-
-        def level2(slot2: ParameterSlot) -> Operator:
-            build = RowScan(Projection(ParameterLookup(slot2), ["sd_l"]))
-            probe = RowScan(Projection(ParameterLookup(slot2), ["sd_r"]))
-            joined = BuildProbe(build, probe, keys=key, join_type=kind)
-            return MaterializeRowVector(joined, field="matches")
-
-        joined = NestedMap(pairs, level2)
-        flat = RowScan(joined, field="matches")
-        return MaterializeRowVector(flat, field="matches")
-
-    joined = NestedMap(zipped, level1)
-    return RowScan(joined, field="matches")
-
-
-def _level1(slot: ParameterSlot, shape: _Shape, local_fanout: int) -> Operator:
-    """First nesting level: local partitioning of one network partition."""
-    partitioned = []
-    for data_field, sub_id, sub_data in (
-        ("data_l", "sub_l", "sd_l"),
-        ("data_r", "sub_r", "sd_r"),
-    ):
-        stream = RowScan(Projection(ParameterLookup(slot), [data_field]))
-        local_fn = HashPartition(shape.key, local_fanout, salt=1)
-        hist = LocalHistogram(stream, local_fn)
-        hist.phase_name = "local_partition"
-        partitioned.append(
-            LocalPartitioning(
-                stream, hist, local_fn, id_field=sub_id, data_field=sub_data
-            )
-        )
-    pairs = Zip(partitioned)
-    joined = NestedMap(pairs, lambda s: _level2(s, shape))
-    flat = RowScan(joined, field="agg")
-    merged = _merge_partials(flat, shape)
-    return MaterializeRowVector(merged, field="agg")
-
-
 def _post_join(stream: Operator, shape: _Shape) -> Operator:
     """Residual filter plus the projection feeding the partial aggregation."""
     if shape.post_filter is not None:
         stream = Filter(stream, _expr_predicate(shape.post_filter, stream.output_type))
     return Map(stream, _expr_tuple_fn(_agg_input_outputs(shape), stream.output_type))
-
-
-def _level2(slot: ParameterSlot, shape: _Shape) -> Operator:
-    """Innermost level: join one sub-partition pair and pre-aggregate."""
-    build = RowScan(Projection(ParameterLookup(slot), ["sd_l"]))
-    probe = RowScan(Projection(ParameterLookup(slot), ["sd_r"]))
-    joined = BuildProbe(build, probe, keys=shape.key, join_type=shape.join_kind)
-    merged = _merge_partials(_post_join(joined, shape), shape)
-    return MaterializeRowVector(merged, field="agg")

@@ -141,9 +141,9 @@ class HandleStats:
 
     Fed one settled :class:`~repro.observability.tracing.QueryJournal`
     at a time by the server; this is the per-handle record a future
-    feedback-driven re-optimizer (ROADMAP item 2) reads — how often the
-    plan runs, how long it takes end to end, how many attempts and
-    morsel steps it burns, and how it fails.
+    feedback-driven re-optimizer (cost-based sub-operator choice) reads —
+    how often the plan runs, how long it takes end to end, how many
+    attempts and morsel steps it burns, and how it fails.
     """
 
     __slots__ = (

@@ -135,3 +135,18 @@ class TestExperimentsSmoke:
         )
         imbalance = table.column("imbalance")
         assert imbalance[1] > imbalance[0]
+
+
+class TestSmokeProbes:
+    """``make bench-smoke`` probes use only the ``RunOptions`` surface."""
+
+    def test_micro_and_profiler_probes_emit_no_deprecation_warning(self):
+        import warnings
+
+        from repro.bench.smoke import _micro, _profiler_overhead
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert set(_micro(1 << 10, repeats=1)) == {"fused", "interpreted"}
+            overhead = _profiler_overhead(1 << 10, repeats=1)
+        assert overhead["disabled_seconds"] > 0
