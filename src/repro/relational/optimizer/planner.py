@@ -127,6 +127,14 @@ class _Shape:
     #: handles only the single-join TPC-H pattern).
     extra_stages: tuple[_Stage, ...] = ()
 
+    def sides(self) -> list[tuple[str, _Side]]:
+        """The plan inputs in slot order, with their parameter names."""
+        sides = [("left", self.left)]
+        if self.right is not None:
+            sides.append(("right", self.right))
+            sides += [(f"stage{i}", st.side) for i, st in enumerate(self.extra_stages)]
+        return sides
+
 
 def _extract_side(plan: LogicalPlan, catalog: Catalog, key: str) -> _Side:
     outputs: tuple[tuple[str, Expression], ...] | None = None
@@ -360,11 +368,7 @@ class ModularisQuery:
         ``execution`` both go through here.
         """
         tables = []
-        sides = [self.shape.left]
-        if self.shape.right is not None:
-            sides.append(self.shape.right)
-            sides.extend(stage.side for stage in self.shape.extra_stages)
-        for side in sides:
+        for _, side in self.shape.sides():
             data = catalog.get(side.table).data
             pruned = TupleType(
                 Field(c, data.element_type[c]) for c in side.columns
@@ -576,10 +580,7 @@ def lower_to_modularis(
     ):
         degraded_from, strategy = "broadcast", "exchange"
 
-    sides = [("left", shape.left)]
-    if shape.right is not None:
-        sides.append(("right", shape.right))
-        sides += [(f"stage{i}", st.side) for i, st in enumerate(shape.extra_stages)]
+    sides = shape.sides()
     schemas = [_pruned_schema(catalog, side) for _, side in sides]
     slot = ParameterSlot(
         TupleType.of(
@@ -634,11 +635,11 @@ def lower_to_modularis(
             # intermediate-result materialization every re-shuffling join
             # chain pays (§5.2.1).
             stages = [(key, kind)] + [(st.key, st.kind) for st in shape.extra_stages]
-            for other, (key, kind) in zip(streams[1:], stages):
+            for other, (stage_key, stage_kind) in zip(streams[1:], stages):
                 stream = hash_join(
-                    [stream, other], key,
+                    [stream, other], stage_key,
                     lambda s: MaterializeRowVector(
-                        pair_probe(s, key, kind), field="matches"
+                        pair_probe(s, stage_key, stage_kind), field="matches"
                     ),
                 )
         return merge(_post_join(stream, shape))
