@@ -25,23 +25,24 @@ The :class:`QueryJournal` is the append-only audit record of one
 submission's lifecycle (submit → admit → attempt(s) → recovery →
 settle) with causal span links and a timing decomposition (backoff,
 execution, total on the simulated axis; queue wait on the informational
-wall axis).  Journals attach to
-:class:`~repro.serving.server.QueryOutcome` and aggregate per prepared
-plan in the registry (:meth:`~repro.serving.registry.PlanRegistry.stats_for`)
-— the observed-behaviour feed that a re-optimizer for cost-based
-sub-operator choice needs.
+wall axis).  It is the serving layer's one settlement record: the tenant
+ledger, the ``serving_*`` settlement metrics, the per-handle statistics
+(:meth:`~repro.serving.registry.PlanRegistry.stats_for` — the
+observed-behaviour feed a cost-based re-optimizer needs) and the
+lifecycle events (:meth:`QueryJournal.lifecycle_events`) are all folds
+over journal entries.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.observability.events import SimEvent
+from repro.observability.events import DRIVER_RANK, LifecycleDetail, SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import ExecutionReport
+    from repro.mpi.trace import TraceEvent
 
 __all__ = [
     "TraceContext",
@@ -50,6 +51,7 @@ __all__ = [
     "stamp_event",
     "stamp_events",
     "stamp_report",
+    "lifecycle_event",
 ]
 
 
@@ -204,18 +206,36 @@ class JournalEvent:
         }
 
 
+def lifecycle_event(
+    transition: str, span_id: str = "", trace_id: str = "", at: float = 0.0, **detail
+) -> "TraceEvent":
+    """A driver-rank lifecycle :class:`~repro.mpi.trace.TraceEvent` with a
+    :class:`~repro.observability.events.LifecycleDetail` payload."""
+    from repro.mpi.trace import TraceEvent
+
+    return TraceEvent(
+        rank=DRIVER_RANK, kind="lifecycle", label=transition, start=at, end=at,
+        trace_id=trace_id, span_id=span_id,
+        parent_span_id=span_id.rpartition("/")[0],
+        detail=LifecycleDetail(transition=transition, **detail),
+    )
+
+
 class QueryJournal:
     """Append-only audit record of one submission's lifecycle.
 
     Every ``submit()`` call creates exactly one journal — including
     submissions that never reach the scheduler (shed, rejected,
     breaker-rejected) — and every journal settles into exactly one
-    terminal state, mirroring the tenant ledger's conservation
-    invariant.  All canonical content (:meth:`as_dict` default) is
-    derived from counts and simulated clocks only, so two runs of the
-    same config produce byte-identical journals.  Wall-clock queue wait
-    and scheduler sequence numbers are kept as *informational* fields,
-    excluded from the canonical form.
+    terminal state, the tenant ledger bucket it is folded into.  All
+    canonical content (:meth:`as_dict` default) is derived from counts
+    and simulated clocks only, so two runs of the same config produce
+    byte-identical journals.  Wall-clock queue wait and scheduler
+    sequence numbers are kept as *informational* fields, excluded from
+    the canonical form.
+
+    Not locked: the serving layer files every entry under its one
+    settlement lock, and a query's attempts run one at a time.
     """
 
     TERMINAL_STATES = (
@@ -255,7 +275,6 @@ class QueryJournal:
         self.last_seq = -1
         #: Wall clock at submit (set by the server; informational).
         self._wall_start = 0.0
-        self._lock = threading.Lock()
 
     def note(
         self,
@@ -265,7 +284,7 @@ class QueryJournal:
         sim_time: float = 0.0,
         **detail: Any,
     ) -> JournalEvent:
-        """File one audit entry (thread-safe; entries stay append-only)."""
+        """File one audit entry (entries stay append-only)."""
         event = JournalEvent(
             kind=kind,
             span_id=span_id or self.trace_id,
@@ -273,13 +292,11 @@ class QueryJournal:
             sim_time=sim_time,
             detail=tuple(sorted(detail.items())),
         )
-        with self._lock:
-            self.events.append(event)
+        self.events.append(event)
         return event
 
     def record_backoff(self, seconds: float) -> None:
-        with self._lock:
-            self.backoff_seconds += seconds
+        self.backoff_seconds += seconds
 
     def settle(
         self,
@@ -308,18 +325,49 @@ class QueryJournal:
             reason=reason,
             **detail,
         )
-        with self._lock:
-            self.terminal = terminal
-            self.reason = reason
-            self.attempts = max(self.attempts, attempt)
-            self.steps = steps
-            self.result_rows = result_rows
-            self.total_seconds = sim_time
-            self.execution_seconds = max(0.0, sim_time - self.backoff_seconds)
+        self.terminal = terminal
+        self.reason = reason
+        self.attempts = max(self.attempts, attempt)
+        self.steps = steps
+        self.result_rows = result_rows
+        self.total_seconds = sim_time
+        self.execution_seconds = max(0.0, sim_time - self.backoff_seconds)
 
     @property
     def settled(self) -> bool:
         return bool(self.terminal)
+
+    def lifecycle_events(self) -> list["TraceEvent"]:
+        """The lifecycle transitions this journal records: each retry, then
+        the settlement if it was a shed, a breaker fast-fail, a cancel, a
+        deadline miss or a failure (completions and cap rejections are
+        not transitions)."""
+        events = []
+        for entry in self.events:
+            detail = dict(entry.detail)
+            if entry.kind == "retry_scheduled":
+                transition, reason = "retry", detail["reason"]
+            elif entry.kind != "settled":
+                continue
+            else:
+                transition, reason = detail["terminal"], detail["reason"]
+                if transition == "shed":
+                    reason = (
+                        f"in_flight={detail['in_flight']} >= "
+                        f"entitlement={detail['entitlement']}"
+                    )
+                elif reason.startswith("breaker_"):
+                    transition, reason = "breaker_rejected", reason[len("breaker_"):]
+                elif transition not in ("cancelled", "deadline_missed", "failed"):
+                    continue
+            events.append(
+                lifecycle_event(
+                    transition, span_id=entry.span_id, trace_id=self.trace_id,
+                    at=entry.sim_time, query_id=self.query_id, tenant=self.tenant,
+                    handle=self.handle, attempt=entry.attempt, reason=reason,
+                )
+            )
+        return events
 
     def span_links(self) -> list[str]:
         """Every span the journal's entries reference, in filing order."""

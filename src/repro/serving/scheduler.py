@@ -113,8 +113,8 @@ class QueryTask:
     #: same query so a cancel lands no matter which attempt is running.
     cancel: threading.Event = field(default_factory=threading.Event)
     #: The attempt's :class:`~repro.observability.tracing.TraceContext`
-    #: (``None`` when the server runs untraced); every scheduler event
-    #: of this task carries its trace id.
+    #: (``None`` for tasks submitted outside a server); every scheduler
+    #: event of this task carries its trace id.
     trace: Any = None
     #: Wall-clock instant the first morsel of this attempt was scheduled
     #: (0.0 until then); the server derives journal queue-wait from it.
@@ -154,7 +154,7 @@ class SchedulerEvent:
     steps: int
     stolen: bool
     #: Causal link to the query (and attempt) this quantum advanced;
-    #: empty when the server runs untraced.
+    #: empty for tasks without a trace context.
     trace_id: str = ""
     span_id: str = ""
 

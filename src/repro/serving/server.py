@@ -5,8 +5,8 @@ owns one shared :class:`~repro.mpi.cluster.SimCluster` (the executor
 substrate), one :class:`~repro.serving.registry.PlanRegistry` of deployed
 plans, one :class:`~repro.serving.scheduler.WorkStealingScheduler`, and
 one :class:`~repro.observability.metrics.MetricsRegistry` the scheduler
-and the per-tenant accountants both feed — so a single
-``server.snapshot()`` answers "who ran what, how much, and how fairly".
+and the settlement fold both feed — so a single ``server.snapshot()``
+answers "who ran what, how much, and how fairly".
 
 A query is a *lifecycle*, not a call::
 
@@ -18,18 +18,19 @@ A query is a *lifecycle*, not a call::
         ├──────► shed        (load-aware admission, per-tenant)
         └──────► rejected    (hard max_pending cap / open breaker)
 
-Admission control has three gates, in order: the per-plan circuit
-breaker (:class:`~repro.serving.lifecycle.CircuitBreaker` fast-fails
-handles with a run of terminal failures), the hard ``max_pending`` bound
-(:class:`~repro.errors.AdmissionError` back-pressure), and load-aware
-shedding — above ``shed_threshold * max_pending`` in-flight queries, a
-tenant already holding its weight-proportional share of slots is shed
-(:class:`~repro.errors.OverloadShedError`) so a flooding tenant cannot
-starve a well-behaved one.
+One :class:`~repro.observability.tracing.QueryJournal` per submission is
+the record: each lifecycle step appends a journal entry and, in the same
+locked step (:meth:`Server._file`), folds it into everything derived from
+it — the tenant ledger, the server-side ``serving_*`` metrics and the
+registry's ``HandleStats``; :attr:`Server.lifecycle_events` is computed
+from the journals on read.  The scheduler's own counters are the
+independent record the soak checks the fold against.
 
+Admission gates, in order: the per-plan circuit breaker, the hard
+``max_pending`` bound, and load-aware shedding (see :meth:`Server.submit`).
 Every lifecycle decision is driven by counts and the query's *simulated*
-clock, never wall time, so the set of outcomes for a given seed and
-submission sequence is deterministic (``tests/test_serving_replay.py``).
+clock, never wall time, so the outcomes for a given seed and submission
+sequence are deterministic (``tests/test_serving_replay.py``).
 
 The client surface is :class:`QuerySession` — ``session → deploy → run``:
 
@@ -47,8 +48,8 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.context import ExecutionContext
 from repro.core.options import RunOptions
@@ -62,11 +63,14 @@ from repro.errors import (
     RetriesExhausted,
 )
 from repro.faults.policy import RetryPolicy, is_retryable
-from repro.mpi.trace import TraceEvent
-from repro.observability.events import DRIVER_RANK, LifecycleDetail
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.slo import SERVING_LATENCY_BOUNDS, SLOConfig
-from repro.observability.tracing import QueryJournal, TraceContext, stamp_report
+from repro.observability.tracing import (
+    QueryJournal,
+    TraceContext,
+    lifecycle_event,
+    stamp_report,
+)
 from repro.serving.lifecycle import BREAKER_STATE_CODES, BreakerConfig
 from repro.serving.registry import PlanRegistry, PreparedPlan
 from repro.serving.scheduler import QueryTask, WorkStealingScheduler
@@ -74,11 +78,22 @@ from repro.serving.scheduler import QueryTask, WorkStealingScheduler
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import ExecutionReport
     from repro.mpi.cluster import SimCluster
+    from repro.mpi.trace import TraceEvent
     from repro.relational.frame import Frame
     from repro.serving.lifecycle import CircuitBreaker
     from repro.storage.catalog import Catalog
 
 __all__ = ["QueryOutcome", "QueryFuture", "TenantAccount", "QuerySession", "Server"]
+
+#: Journal terminal state -> the tenant-ledger bucket it settles into.
+LEDGER_BUCKETS = {
+    "completed": "queries",
+    "cancelled": "cancelled",
+    "deadline_missed": "deadline_missed",
+    "failed": "failed",
+    "shed": "shed",
+    "rejected": "rejected",
+}
 
 
 @dataclass(frozen=True)
@@ -97,11 +112,11 @@ class QueryOutcome:
     #: with overlapping spans provably interleaved on the scheduler.
     first_seq: int
     last_seq: int
+    #: The query's audit journal (submit → admit → attempt(s) → settle)
+    #: with causal span links.
+    journal: QueryJournal
     #: Server-level attempts this query took (1 = no retries needed).
     attempts: int = 1
-    #: The query's audit journal (submit → admit → attempt(s) → settle)
-    #: with causal span links; ``None`` when the server runs untraced.
-    journal: QueryJournal | None = None
 
 
 class QueryFuture:
@@ -125,15 +140,10 @@ class QueryFuture:
         return self._event.is_set()
 
     def cancel(self) -> bool:
-        """Request cooperative cancellation of this query.
-
-        The flag is observed by the scheduler between morsel steps — never
-        mid-step — and the query settles into its tenant's ledger as a
-        ``cancelled`` outcome; ``result()`` then raises
-        :class:`~repro.errors.QueryCancelled`.  Returns ``False`` if the
-        query already settled (its outcome stands), ``True`` if the
-        cancellation request was recorded.
-        """
+        """Request cooperative cancellation, observed by the scheduler
+        between morsel steps; the query settles as ``cancelled`` and
+        ``result()`` raises :class:`~repro.errors.QueryCancelled`.  Returns
+        ``False`` if the query already settled (its outcome stands)."""
         if self.done():
             return False
         self._cancel.set()
@@ -147,24 +157,19 @@ class QueryFuture:
         return self._cancel.is_set()
 
     def result(self, timeout: float | None = None) -> QueryOutcome:
-        """Block for the outcome.
+        """Block for the outcome; a settled failure re-raises its typed
+        error (``QueryCancelled``, ``DeadlineExceeded``, ``RetriesExhausted``…).
 
-        ``timeout`` is a *wall-clock* bound on this wait (the caller's
-        patience), unrelated to the query's simulated-clock ``deadline``;
-        expiring raises :class:`~repro.errors.ResultTimeout` and leaves
-        the query running.  A settled failure re-raises its typed error
-        (:class:`~repro.errors.QueryCancelled`,
-        :class:`~repro.errors.DeadlineExceeded`,
-        :class:`~repro.errors.RetriesExhausted`, …).
+        ``timeout`` is a *wall-clock* bound on this wait, unrelated to the
+        query's simulated-clock ``deadline``; expiring raises
+        :class:`~repro.errors.ResultTimeout` and leaves the query running.
         """
         if not self._event.wait(timeout):
             raise ResultTimeout(
                 f"query {self.query_id} ({self.handle}) still running after "
                 f"a {timeout}s wall-clock wait; the query itself is "
                 f"unaffected (cancel() to stop it)",
-                query_id=self.query_id,
-                tenant=self.tenant,
-                handle=self.handle,
+                query_id=self.query_id, tenant=self.tenant, handle=self.handle,
             )
         if self._error is not None:
             raise self._error
@@ -179,15 +184,9 @@ class QueryFuture:
         self._event.set()
 
 
-@dataclass
+@dataclass(frozen=True)
 class TenantAccount:
-    """Lock-guarded per-tenant resource ledger.
-
-    The scheduler's counters are per-event; this is the tenant's running
-    ledger, updated once per submission and once per settled outcome.
-    ``Counter.inc`` is a plain ``+=`` (fine inside the executor where one
-    rank owns one child registry, not fine across server worker threads),
-    hence the lock.
+    """Read-only snapshot of one tenant's ledger, a fold over its journals.
 
     Conservation invariant (asserted by the soak reconciliation test)::
 
@@ -206,7 +205,8 @@ class TenantAccount:
     queries: int = 0
     steps: int = 0
     simulated_seconds: float = 0.0
-    #: Hard admission failures: max_pending cap + open-breaker fast-fails.
+    #: Hard admission failures: max_pending cap, open-breaker fast-fails,
+    #: and submissions whose plan failed to instantiate.
     rejected: int = 0
     #: Every submit() attempt, whatever its fate.
     submitted: int = 0
@@ -217,155 +217,89 @@ class TenantAccount:
     shed: int = 0
     #: Server-level re-submissions after retryable faults.
     retries: int = 0
-    #: Queries admitted to the scheduler and not yet settled.
+    #: Queries admitted and not yet settled.
     in_flight: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def note_submit(self) -> None:
-        with self._lock:
-            self.submitted += 1
-
-    def admit(self) -> None:
-        with self._lock:
-            self.in_flight += 1
-
-    def settle(self, steps: int, simulated_seconds: float) -> None:
-        """A query completed successfully."""
-        with self._lock:
-            self.queries += 1
-            self.steps += steps
-            self.simulated_seconds += simulated_seconds
-            self.in_flight -= 1
-
-    def settle_failure(self, kind: str, steps: int) -> None:
-        """A query settled without a result: ``cancelled`` /
-        ``deadline_missed`` / ``failed``."""
-        if kind not in ("cancelled", "deadline_missed", "failed"):
-            raise ValueError(f"unknown failure kind {kind!r}")
-        with self._lock:
-            setattr(self, kind, getattr(self, kind) + 1)
-            self.steps += steps
-            self.in_flight -= 1
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-
-    def reject(self) -> None:
-        with self._lock:
-            self.rejected += 1
-
-    def shed_one(self) -> None:
-        with self._lock:
-            self.shed += 1
 
     def settled_total(self) -> int:
         """Outcomes filed so far (every submission's final fate)."""
-        with self._lock:
-            return (
-                self.queries
-                + self.cancelled
-                + self.deadline_missed
-                + self.failed
-                + self.shed
-                + self.rejected
-            )
+        return sum(getattr(self, bucket) for bucket in LEDGER_BUCKETS.values())
+
+
+class _Query(NamedTuple):
+    """What every attempt of one admitted query shares."""
+
+    prepared: PreparedPlan
+    breaker: "CircuitBreaker"
+    future: QueryFuture
+    journal: QueryJournal
+    options: RunOptions
+    deadline: float | None
 
 
 class Server:
     """Concurrent multi-query serving over one shared cluster."""
 
     def __init__(
-        self,
-        cluster: "SimCluster",
-        catalog: "Catalog",
-        n_workers: int = 4,
-        quantum: int = 1,
-        max_pending: int = 64,
-        metrics: MetricsRegistry | None = None,
-        retry: RetryPolicy | None = None,
-        breaker: BreakerConfig | None = None,
-        shed_threshold: float = 1.0,
-        start: bool = True,
-        slo: SLOConfig | None = None,
-        tracing: bool = True,
+        self, cluster: "SimCluster", catalog: "Catalog", n_workers: int = 4,
+        quantum: int = 1, max_pending: int = 64,
+        metrics: MetricsRegistry | None = None, retry: RetryPolicy | None = None,
+        breaker: BreakerConfig | None = None, shed_threshold: float = 1.0,
+        start: bool = True, slo: SLOConfig | None = None,
     ) -> None:
         """Args beyond the obvious:
 
         Args:
-            retry: Server-level retry budget for queries failing with
-                *retryable* faults (:func:`repro.faults.policy.is_retryable`);
-                attempt ``k`` re-runs the immutable prepared plan with the
-                fault seed bumped by ``k - 1`` and the backoff charged to
-                the query's simulated clock (so a ``deadline`` spans
-                retries).  ``None`` (default) disables server retries.
-            breaker: Per-prepared-plan circuit-breaker knobs; ``None``
-                uses :class:`~repro.serving.lifecycle.BreakerConfig`
-                defaults.  Breakers are always armed — a healthy plan
-                never trips one.
+            retry: Server-level retry budget for *retryable* faults
+                (:func:`repro.faults.policy.is_retryable`); backoff is
+                charged to the query's simulated clock, so a ``deadline``
+                spans retries.  ``None`` (default) disables server retries.
+            breaker: Per-prepared-plan circuit-breaker knobs (``None``:
+                :class:`~repro.serving.lifecycle.BreakerConfig` defaults).
+                Breakers are always armed; a healthy plan never trips one.
             shed_threshold: Fraction of ``max_pending`` at which load-aware
-                shedding starts; in the shed region a tenant at/above its
-                weight-proportional slot entitlement is shed.  The default
-                of ``1.0`` disables shedding (the hard cap fires first);
-                overload-hardened deployments pass e.g. ``0.75``.
-            start: Start the scheduler pool immediately.  Pass ``False``
-                and call :meth:`start` later to make submission-time
-                decisions (shedding) independent of execution timing —
-                the soak harness does this for exact replayability.
-            slo: Latency objectives to account against.  When set,
-                completed queries slower than their tenant's target — and
-                every failed or deadline-missed query — burn the error
-                budget (``serving_slo_miss``); :func:`repro.observability
-                .slo.build_slo_report` turns the snapshot into a report.
-                Latency histograms are recorded whether or not an SLO is
-                armed.
-            tracing: Mint a :class:`TraceContext` and keep a
-                :class:`QueryJournal` per submission (the default).  Pass
-                ``False`` for an untraced server — the bench overhead
-                probe's baseline.
+                shedding starts.  The default ``1.0`` disables shedding
+                (the hard cap fires first); hardened deployments pass 0.75.
+            start: Start the scheduler pool now.  Pass ``False`` and call
+                :meth:`start` later to make submission-time decisions
+                independent of execution timing (the soak replays this way).
+            slo: Latency objectives.  When set, completed queries slower
+                than their tenant's target — and every failed or
+                deadline-missed query — burn the error budget
+                (``serving_slo_miss``).  Latency histograms record either way.
         """
         if max_pending < 1:
             raise ValueError(f"max_pending must be positive, got {max_pending}")
         if not 0.0 < shed_threshold <= 1.0:
-            raise ValueError(
-                f"shed_threshold must be in (0, 1], got {shed_threshold}"
-            )
+            raise ValueError(f"shed_threshold must be in (0, 1], got {shed_threshold}")
         self.cluster = cluster
         self.catalog = catalog
         self.max_pending = max_pending
         self.shed_threshold = shed_threshold
         self.retry = retry
+        self.slo = slo
         self.breaker_config = breaker if breaker is not None else BreakerConfig()
         self.registry = PlanRegistry()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.scheduler = WorkStealingScheduler(
             n_workers=n_workers, quantum=quantum, metrics=self.metrics
         )
-        self._tenants: dict[str, TenantAccount] = {}
-        self._tenants_lock = threading.Lock()
+        #: The settlement lock: guards the journals, everything folded from
+        #: them, and admission.  Never held while calling into a breaker
+        #: (breakers call back into :meth:`_on_breaker_transition`).
+        self._lock = threading.RLock()
+        #: tenant -> ledger counters (the fields of :class:`TenantAccount`).
+        self._ledgers: dict[str, dict[str, float]] = {}
         self._query_ids = itertools.count(1)
-        self.slo = slo
-        self.tracing = tracing
-        #: Trace-id allocation counter; separate from ``_query_ids`` so
-        #: shed/rejected submissions (which never get a query id) still
-        #: get a resolvable trace.
+        #: Trace-id counter: shed/rejected submissions get no query id but
+        #: still get a trace.
         self._submissions = itertools.count(1)
         #: Every journal ever minted, in submission order.
         self.journals: list[QueryJournal] = []
-        self._journals_by_trace: dict[str, QueryJournal] = {}
-        self._journal_lock = threading.Lock()
-        self._closed = False
         #: Unsettled futures by query id (for :meth:`cancel`).
         self._inflight: dict[int, QueryFuture] = {}
-        self._inflight_lock = threading.Lock()
-        #: Serializes server-side metric bumps (scheduler-side bumps are
-        #: serialized under the scheduler's own lock; the two sides touch
-        #: disjoint instruments, so the split is race-free).
-        self._metrics_lock = threading.Lock()
-        #: Lifecycle transitions (typed :class:`TraceEvent`\ s with
-        #: :class:`LifecycleDetail`), in arrival order.
-        self.lifecycle_events: list[TraceEvent] = []
-        self._events_lock = threading.Lock()
+        #: Breaker transitions are per handle, so not journalled.
+        self._breaker_events: list[TraceEvent] = []
+        self._closed = False
         self.register_tenant("default", 1.0)
         if start:
             self.start()
@@ -396,28 +330,26 @@ class Server:
 
     def register_tenant(self, name: str, weight: float = 1.0) -> TenantAccount:
         """Create (or re-weight) a tenant's fair-share account."""
-        with self._tenants_lock:
-            account = self._tenants.get(name)
-            if account is None:
-                account = TenantAccount(name=name, weight=weight)
-                self._tenants[name] = account
-            else:
-                account.weight = weight
         self.scheduler.fairshare.register(name, weight)
-        return account
+        with self._lock:
+            if name not in self._ledgers:
+                fields = dataclasses.fields(TenantAccount)[1:]
+                self._ledgers[name] = {f.name: f.default for f in fields}
+            self._ledgers[name]["weight"] = weight
+            return self.tenant(name)
 
     def tenant(self, name: str) -> TenantAccount:
-        with self._tenants_lock:
-            account = self._tenants.get(name)
-        if account is None:
-            raise AdmissionError(
-                f"unknown tenant {name!r}; register it (or open a session) first"
-            )
-        return account
+        with self._lock:
+            ledger = self._ledgers.get(name)
+            if ledger is None:
+                raise AdmissionError(
+                    f"unknown tenant {name!r}; register it (or open a session) first"
+                )
+            return TenantAccount(name, **ledger)
 
     def tenants(self) -> list[TenantAccount]:
-        with self._tenants_lock:
-            return sorted(self._tenants.values(), key=lambda a: a.name)
+        with self._lock:
+            return [self.tenant(name) for name in sorted(self._ledgers)]
 
     def session(self, tenant: str = "default", weight: float = 1.0) -> "QuerySession":
         """Open a tenant-bound session (registers the tenant)."""
@@ -427,582 +359,359 @@ class Server:
     # -- deploy -------------------------------------------------------------
 
     def deploy(
-        self,
-        name: str,
-        query,
-        join_strategy: str = "exchange",
+        self, name: str, query, join_strategy: str = "exchange",
         defaults: RunOptions | None = None,
     ) -> PreparedPlan:
         """Verify and freeze a query against the server's catalog."""
         return self.registry.deploy(
-            name,
-            query,
-            self.catalog,
-            self.cluster,
-            join_strategy=join_strategy,
-            defaults=defaults,
+            name, query, self.catalog, self.cluster,
+            join_strategy=join_strategy, defaults=defaults,
         )
 
     # -- run ----------------------------------------------------------------
 
     def submit(
-        self,
-        handle: str,
-        tenant: str = "default",
-        options: RunOptions | None = None,
+        self, handle: str, tenant: str = "default", options: RunOptions | None = None,
         deadline: float | None = None,
     ) -> QueryFuture:
         """Admit one run of a deployed plan; returns immediately.
 
-        Args:
-            deadline: Simulated-seconds budget for the query (the axis of
-                ``ExecutionReport.simulated_time``), enforced at scheduler
-                quantum boundaries; the budget spans server-level retries
-                (backoff included).  ``None`` means no deadline.
+        ``deadline`` is a simulated-seconds budget (the axis of
+        ``ExecutionReport.simulated_time``), checked at quantum boundaries
+        and spanning server-level retries.  The admission gates run in
+        the order listed below.
 
         Raises:
             CircuitOpenError: The plan's circuit breaker has quarantined
                 this handle after repeated terminal failures.
-            OverloadShedError: Load-aware shedding refused the tenant's
-                submission (it already holds its share of in-flight slots).
             AdmissionError: The hard ``max_pending`` bound, or an unknown
                 ``handle``/``tenant``.
+            OverloadShedError: Above ``shed_threshold * max_pending``
+                in-flight queries, the tenant already holds its
+                weight-proportional share of slots.
         """
         if self._closed:
             raise AdmissionError("server is closed")
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
-        account = self.tenant(tenant)
+        self.tenant(tenant)
         prepared = self.registry.get(handle)
-        account.note_submit()
-        trace: TraceContext | None = None
-        journal: QueryJournal | None = None
-        if self.tracing:
-            # Minted for *every* submission — shed and rejected queries
-            # get a trace and an audited fate too.  The trace id is keyed
-            # by a dedicated submission counter, not the query id, so
-            # query-id allocation is unchanged by tracing.
+        with self._lock:
+            # Minted for *every* submission: shed and rejected queries get
+            # a trace and an audited fate too.
             submission = next(self._submissions)
-            trace = TraceContext.for_query(submission)
-            journal = QueryJournal(
-                trace_id=trace.trace_id,
-                submission=submission,
-                tenant=tenant,
-                handle=prepared.handle,
-            )
+            trace_id = TraceContext.for_query(submission).trace_id
+            journal = QueryJournal(trace_id, submission, tenant, prepared.handle)
             journal._wall_start = time.perf_counter()
-            if deadline is not None:
-                journal.note("submitted", deadline=deadline)
-            else:
-                journal.note("submitted")
-            with self._journal_lock:
-                self.journals.append(journal)
-                self._journals_by_trace[trace.trace_id] = journal
+            self.journals.append(journal)
+            extra = {"deadline": deadline} if deadline is not None else {}
+            self._file(journal, "submitted", **extra)
         breaker = self.registry.breaker_for(
-            prepared.handle,
-            config=self.breaker_config,
-            on_transition=self._on_breaker_transition,
+            prepared.handle, self.breaker_config, self._on_breaker_transition
         )
         try:
             breaker.admit()
         except CircuitOpenError as exc:
-            account.reject()
-            with self._metrics_lock:
-                self.metrics.counter(
-                    "serving_rejected", tenant=tenant
-                ).inc()
-                self.metrics.counter(
-                    "serving_breaker_rejected", handle=prepared.handle
-                ).inc()
-            self._record_lifecycle(
-                "breaker_rejected",
-                tenant=tenant,
-                handle=prepared.handle,
-                reason=exc.state,
-                trace=trace,
-            )
-            self._settle_admission(journal, "rejected", f"breaker_{exc.state}")
+            self._file(journal, "rejected", reason=f"breaker_{exc.state}")
             raise
-        admitted = False
         try:
-            pending = self.scheduler.pending()
+            future = self._admit(journal)
+            query = _Query(
+                prepared, breaker, future, journal,
+                options if options is not None else prepared.defaults, deadline,
+            )
+            # Contract check + lowering happen now, so submit() fails fast
+            # and the scheduler only ever sees runnable work.
+            try:
+                self.scheduler.submit(self._make_attempt(query))
+            except BaseException as exc:
+                self._file(journal, "rejected", reason=type(exc).__name__)
+                raise
+        except BaseException:
+            # Release a half-open probe slot the admission gates or a
+            # failed instantiation consumed (no-op when closed).
+            breaker.abandon()
+            raise
+        return future
+
+    def run(
+        self, handle: str, tenant: str = "default", options: RunOptions | None = None,
+        timeout: float | None = None, deadline: float | None = None,
+    ) -> QueryOutcome:
+        """Submit and block for the outcome."""
+        future = self.submit(handle, tenant=tenant, options=options, deadline=deadline)
+        return future.result(timeout)
+
+    def cancel(self, query_id: int) -> bool:
+        """Cooperatively cancel an in-flight query by id (``False`` for
+        unknown or already-settled queries)."""
+        with self._lock:
+            future = self._inflight.get(query_id)
+        return future is not None and future.cancel()
+
+    # -- admission and settlement -------------------------------------------
+
+    def _admit(self, journal: QueryJournal) -> QueryFuture:
+        """The ``max_pending`` and shedding gates, then the slot reservation,
+        all under the settlement lock — so concurrent submitters cannot
+        all pass the check before any of them reserves."""
+        with self._lock:
+            ledgers = self._ledgers.values()
+            pending = sum(ledger["in_flight"] for ledger in ledgers)
             if pending >= self.max_pending:
-                account.reject()
-                with self._metrics_lock:
-                    self.metrics.counter("serving_rejected", tenant=tenant).inc()
-                self._settle_admission(journal, "rejected", "max_pending")
+                self._file(journal, "rejected", reason="max_pending")
                 raise AdmissionError(
                     f"admission control: {self.max_pending} queries already "
                     f"in flight; retry after a completion"
                 )
-            if pending >= self._shed_floor():
-                entitlement = self._entitlement(account)
-                if account.in_flight >= entitlement:
-                    account.shed_one()
-                    with self._metrics_lock:
-                        self.metrics.counter("serving_shed", tenant=tenant).inc()
-                    self._record_lifecycle(
-                        "shed",
-                        tenant=tenant,
-                        handle=prepared.handle,
-                        reason=(
-                            f"in_flight={account.in_flight} >= "
-                            f"entitlement={entitlement}"
-                        ),
-                        trace=trace,
+            mine = self._ledgers[journal.tenant]
+            in_flight = mine["in_flight"]
+            if pending >= max(1, math.ceil(self.shed_threshold * self.max_pending)):
+                share = mine["weight"] / sum(ledger["weight"] for ledger in ledgers)
+                entitlement = max(1, int(self.max_pending * share))
+                if in_flight >= entitlement:
+                    self._file(
+                        journal, "shed", reason="overload_shed",
+                        in_flight=in_flight, entitlement=entitlement,
                     )
-                    self._settle_admission(journal, "shed", "overload_shed")
                     raise OverloadShedError(
                         f"overload shedding: {pending}/{self.max_pending} "
-                        f"queries in flight and tenant {tenant!r} already "
-                        f"holds {account.in_flight} of its {entitlement} "
+                        f"queries in flight and tenant {journal.tenant!r} "
+                        f"already holds {in_flight} of its {entitlement} "
                         f"slot(s)",
-                        tenant=tenant,
-                        in_flight=account.in_flight,
+                        tenant=journal.tenant, in_flight=in_flight,
                         entitlement=entitlement,
                     )
-            run_options = options if options is not None else prepared.defaults
             query_id = next(self._query_ids)
-            future = QueryFuture(query_id, tenant, prepared.handle, server=self)
-            if journal is not None:
-                journal.query_id = query_id
-                journal.note("admitted", query_id=query_id)
-            # Build the first attempt before any bookkeeping: contract
-            # check + lowering happen now, so submit() fails fast and the
-            # scheduler only ever sees runnable work.
-            try:
-                task = self._make_attempt(
-                    prepared,
-                    account,
-                    breaker,
-                    future,
-                    run_options,
-                    deadline,
-                    attempt=1,
-                    carry_steps=0,
-                    carry_first_seq=-1,
-                    carry_elapsed=0.0,
-                    trace=trace,
-                    journal=journal,
-                )
-            except BaseException as exc:
-                # Keeps the ledger conservation invariant: every
-                # submission files into exactly one outcome bucket.
-                account.reject()
-                self._settle_admission(journal, "rejected", type(exc).__name__)
-                raise
-            account.admit()
-            with self._inflight_lock:
-                self._inflight[query_id] = future
-            with self._metrics_lock:
-                self.metrics.gauge("serving_in_flight", tenant=tenant).add(1)
-            self.scheduler.submit(task)
-            admitted = True
-        finally:
-            if not admitted:
-                # Release a half-open probe slot the admission gates or a
-                # failed instantiation consumed (no-op when closed).
-                breaker.abandon()
+            future = QueryFuture(query_id, journal.tenant, journal.handle, self)
+            self._inflight[query_id] = future
+            journal.query_id = query_id
+            self._file(journal, "admitted", query_id=query_id)
         return future
 
-    def run(
-        self,
-        handle: str,
-        tenant: str = "default",
-        options: RunOptions | None = None,
-        timeout: float | None = None,
-        deadline: float | None = None,
-    ) -> QueryOutcome:
-        """Submit and block for the outcome."""
-        future = self.submit(
-            handle, tenant=tenant, options=options, deadline=deadline
-        )
-        return future.result(timeout)
+    def _file(self, journal: QueryJournal, kind: str, **entry) -> None:
+        """The one write: append ``kind`` to the journal, then fold it.
 
-    def cancel(self, query_id: int) -> bool:
-        """Cooperatively cancel an in-flight query by id.
-
-        Returns ``False`` for unknown or already-settled queries.
+        ``kind`` is a journal entry kind, or a terminal state that settles
+        the journal.  The tenant ledger, the server-side ``serving_*``
+        metrics and ``HandleStats`` change here and nowhere else, under
+        one lock and before any future resolves — so no settlement path
+        can update one record and miss another, and a caller back from
+        ``result()`` sees its outcome counted.
         """
-        with self._inflight_lock:
-            future = self._inflight.get(query_id)
-        if future is None:
-            return False
-        return future.cancel()
+        with self._lock:
+            if kind in LEDGER_BUCKETS:
+                journal.settle(kind, **entry)
+                journal.wall_seconds = time.perf_counter() - journal._wall_start
+            else:
+                journal.note(kind, **entry)
+            self._fold(journal, kind)
 
-    # -- lifecycle internals ------------------------------------------------
+    def _fold(self, journal: QueryJournal, kind: str) -> None:
+        """Fold one just-filed journal entry into the ledger, the server-side
+        metrics and ``HandleStats`` (settlement lock held)."""
+        tenant, handle, terminal = journal.tenant, journal.handle, kind
+        ledger, metrics = self._ledgers[tenant], self.metrics
+        if kind == "submitted":
+            ledger["submitted"] += 1
+        elif kind == "admitted":
+            ledger["in_flight"] += 1
+            metrics.gauge("serving_in_flight", tenant=tenant).add(1)
+        elif kind == "retry_scheduled":
+            ledger["retries"] += 1
+            metrics.counter("serving_retries", tenant=tenant).inc()
+        if kind not in LEDGER_BUCKETS:
+            return
+        ledger[LEDGER_BUCKETS[terminal]] += 1
+        ledger["steps"] += journal.steps
+        if journal.query_id >= 0:  # admitted: release its in-flight slot
+            ledger["in_flight"] -= 1
+            metrics.gauge("serving_in_flight", tenant=tenant).add(-1)
+            self._inflight.pop(journal.query_id, None)
+        if terminal != "completed":  # the scheduler counts completions
+            metrics.counter(f"serving_{terminal}", tenant=tenant).inc()
+        if journal.reason.startswith("breaker_"):
+            metrics.counter("serving_breaker_rejected", handle=handle).inc()
+        latency = journal.total_seconds
+        if terminal == "completed":
+            ledger["simulated_seconds"] += latency
+            millis = metrics.counter("serving_simulated_millis", tenant=tenant)
+            millis.add(int(latency * 1000))
+            metrics.histogram(
+                "serving_latency_seconds", SERVING_LATENCY_BOUNDS, tenant=tenant
+            ).observe(latency)
+            metrics.histogram(
+                "serving_handle_latency_seconds", SERVING_LATENCY_BOUNDS, handle=handle
+            ).observe(latency)
+        if terminal in ("completed", "failed", "deadline_missed"):
+            # Failures and deadline misses burn the error budget and count
+            # toward the handle's settled denominator even though they
+            # contribute no latency sample.
+            metrics.counter("serving_handle_settled", handle=handle).inc()
+            if self.slo is not None and (
+                terminal != "completed" or latency > self.slo.target_for(tenant)
+            ):
+                metrics.counter("serving_slo_miss", tenant=tenant).inc()
+                metrics.counter("serving_slo_miss", handle=handle).inc()
+        self.registry.observe_journal(journal)
 
-    def _shed_floor(self) -> int:
-        """In-flight count at which load-aware shedding starts."""
-        return max(1, math.ceil(self.shed_threshold * self.max_pending))
-
-    def _entitlement(self, account: TenantAccount) -> int:
-        """Weight-proportional in-flight slot share for one tenant."""
-        with self._tenants_lock:
-            total = sum(a.weight for a in self._tenants.values())
-        return max(1, int(self.max_pending * account.weight / total))
-
-    def _attempt_options(self, base: RunOptions, attempt: int) -> RunOptions:
-        """Per-attempt options: bump the fault seed so a retry does not
-        deterministically replay the exact fault sequence that killed the
-        previous attempt.  Faults only ever cost simulated time, so the
-        result stays bit-identical whatever seed an attempt runs under."""
-        if attempt == 1 or base.faults is None:
-            return base
-        faults = dataclasses.replace(base.faults, seed=base.faults.seed + attempt - 1)
-        return base.replace(faults=faults)
+    # -- execution attempts -------------------------------------------------
 
     def _make_attempt(
-        self,
-        prepared: PreparedPlan,
-        account: TenantAccount,
-        breaker: "CircuitBreaker",
-        future: QueryFuture,
-        base_options: RunOptions,
-        deadline: float | None,
-        attempt: int,
-        carry_steps: int,
-        carry_first_seq: int,
-        carry_elapsed: float,
-        trace: TraceContext | None = None,
-        journal: QueryJournal | None = None,
+        self, query: _Query, attempt: int = 1, carry_steps: int = 0,
+        carry_first_seq: int = -1, carry_elapsed: float = 0.0,
     ) -> QueryTask:
         """One scheduler attempt of one query (retries re-enter here).
 
-        The attempt runs under a private driver context whose simulated
-        clock is pre-advanced by ``carry_elapsed`` — the previous
-        attempts' elapsed time plus the retry backoff — so deadlines and
-        ``simulated_seconds`` ledger entries span the whole retry chain.
-
-        Each attempt executes under its own child span of the query's
-        trace (``<trace>/aN``); the attempt span rides the execution
-        context into the substrate, where rank spans (``<trace>/aN/rM``)
-        are stamped onto the attempt's events at settlement.
+        The private driver clock starts at ``carry_elapsed`` (previous
+        attempts plus backoff), so deadlines span the retry chain; the fault
+        seed is bumped by ``attempt - 1`` so a retry does not replay the
+        faults that killed its predecessor.  The attempt runs under its own
+        child span ``<trace>/aN``; rank spans are stamped at settlement.
         """
-        opts = self._attempt_options(base_options, attempt)
-        lowered = prepared.instantiate(self.catalog, self.cluster, opts)
+        opts = query.options
+        if attempt > 1 and opts.faults is not None:
+            seed = opts.faults.seed + attempt - 1
+            opts = opts.replace(faults=dataclasses.replace(opts.faults, seed=seed))
+        lowered = query.prepared.instantiate(self.catalog, self.cluster, opts)
         ctx = ExecutionContext.from_options(opts)
-        attempt_trace = trace.for_attempt(attempt) if trace is not None else None
-        ctx.trace = attempt_trace
+        root = TraceContext.for_query(query.journal.submission)
+        ctx.trace = root.for_attempt(attempt)
         if carry_elapsed:
             ctx.clock.advance(carry_elapsed)
-        if journal is not None:
-            journal.note(
-                "attempt_started",
-                span_id=attempt_trace.span_id,
-                attempt=attempt,
-                sim_time=carry_elapsed,
-                carry_steps=carry_steps,
-            )
-        tenant = account.name
-        query_id = future.query_id
+        self._file(
+            query.journal, "attempt_started", span_id=ctx.trace.span_id,
+            attempt=attempt, sim_time=carry_elapsed, carry_steps=carry_steps,
+        )
 
         def on_done(task: QueryTask, result, error: BaseException | None) -> None:
-            if (
-                journal is not None
-                and journal.queue_wall_seconds == 0.0
-                and task.started_wall
-            ):
-                # Wall-clock admission-to-first-morsel wait, captured at
-                # the first settlement that saw the task scheduled.
-                journal.queue_wall_seconds = max(
-                    0.0, task.started_wall - journal._wall_start
-                )
+            journal = query.journal
+            if not journal.queue_wall_seconds and task.started_wall:
+                # Informational submit-to-first-morsel wall-clock wait.
+                journal.queue_wall_seconds = task.started_wall - journal._wall_start
             if error is None:
                 try:
-                    outcome = QueryOutcome(
-                        query_id=query_id,
-                        tenant=tenant,
-                        handle=prepared.handle,
-                        report=result,
-                        frame=lowered.result_frame(result),
-                        steps=task.steps_done,
-                        first_seq=task.first_seq,
-                        last_seq=task.last_seq,
-                        attempts=task.attempt,
-                        journal=journal,
-                    )
+                    frame = lowered.result_frame(result)
                 except BaseException as exc:  # noqa: BLE001 - via future
-                    self._finalize_failure(task, exc, account, breaker, future)
-                    return
-                breaker.record_success()
-                account.settle(task.steps_done, result.simulated_time)
-                latency = result.simulated_time
-                with self._metrics_lock:
-                    self.metrics.counter(
-                        "serving_simulated_millis", tenant=tenant
-                    ).add(int(result.simulated_time * 1000))
-                    self.metrics.histogram(
-                        "serving_latency_seconds",
-                        SERVING_LATENCY_BOUNDS,
-                        tenant=tenant,
-                    ).observe(latency)
-                    self.metrics.histogram(
-                        "serving_handle_latency_seconds",
-                        SERVING_LATENCY_BOUNDS,
-                        handle=prepared.handle,
-                    ).observe(latency)
-                    self.metrics.counter(
-                        "serving_handle_settled", handle=prepared.handle
-                    ).inc()
-                    if self.slo is not None and latency > self.slo.target_for(
-                        tenant
-                    ):
-                        self.metrics.counter(
-                            "serving_slo_miss", tenant=tenant
-                        ).inc()
-                        self.metrics.counter(
-                            "serving_slo_miss", handle=prepared.handle
-                        ).inc()
-                    self.metrics.gauge(
-                        "serving_in_flight", tenant=tenant
-                    ).add(-1)
-                if attempt_trace is not None:
-                    # Post-hoc causal stamping: the execution hot path ran
-                    # cold; the surviving attempt's spans, substrate
-                    # events, and recovery log are linked to the query
-                    # here, once, at settlement.
-                    stamp_report(result, attempt_trace)
-                if journal is not None:
-                    journal.note(
-                        "attempt_finished",
-                        span_id=attempt_trace.span_id,
-                        attempt=task.attempt,
-                        sim_time=result.simulated_time,
-                        steps=task.steps_done,
-                        rows=len(result.rows),
-                    )
-                    journal.first_seq = task.first_seq
-                    journal.last_seq = task.last_seq
-                    journal.settle(
-                        "completed",
-                        span_id=attempt_trace.span_id,
-                        attempt=task.attempt,
-                        sim_time=result.simulated_time,
-                        steps=task.steps_done,
-                        result_rows=len(result.rows),
-                    )
-                    journal.wall_seconds = (
-                        time.perf_counter() - journal._wall_start
-                    )
-                    self.registry.observe_journal(journal)
-                self._forget(query_id)
-                future._resolve(outcome, None)
-                return
-            retry = self.retry
-            retryable = is_retryable(error)
-            if (
-                retry is not None
-                and retryable
-                and task.attempt < retry.max_attempts
-                and not task.cancel.is_set()
-            ):
-                backoff = retry.backoff(task.attempt)
-                account.record_retry()
-                with self._metrics_lock:
-                    self.metrics.counter("serving_retries", tenant=tenant).inc()
-                self._record_lifecycle(
-                    "retry",
-                    query_id=query_id,
-                    tenant=tenant,
-                    handle=prepared.handle,
-                    attempt=task.attempt,
-                    reason=type(error).__name__,
-                    at=task.elapsed(),
-                    trace=attempt_trace,
-                )
-                if journal is not None:
-                    journal.record_backoff(backoff)
-                    journal.note(
-                        "retry_scheduled",
-                        span_id=attempt_trace.span_id if attempt_trace else "",
-                        attempt=task.attempt,
-                        sim_time=task.elapsed(),
-                        backoff=backoff,
-                        reason=type(error).__name__,
-                    )
-                try:
-                    next_task = self._make_attempt(
-                        prepared,
-                        account,
-                        breaker,
-                        future,
-                        base_options,
-                        deadline,
-                        attempt=task.attempt + 1,
-                        carry_steps=task.steps_done,
-                        carry_first_seq=task.first_seq,
-                        carry_elapsed=task.elapsed() + backoff,
-                        trace=trace,
-                        journal=journal,
-                    )
-                    self.scheduler.submit(next_task)
-                except BaseException as exc:  # noqa: BLE001 - via future
-                    self._finalize_failure(task, exc, account, breaker, future)
-                return
-            if retry is not None and retryable:
-                error = RetriesExhausted(
-                    f"query {query_id} ({prepared.handle}) failed retryably "
-                    f"on all {task.attempt} attempt(s)",
-                    query_id=query_id,
-                    tenant=tenant,
-                    handle=prepared.handle,
-                    attempts=task.attempt,
-                    last_error=error,
-                )
-            self._finalize_failure(task, error, account, breaker, future)
+                    self._fail(query, task, exc)
+                else:
+                    self._complete(query, task, result, frame)
+            else:
+                self._retry_or_fail(query, task, error)
 
         return QueryTask(
-            query_id=query_id,
-            tenant=tenant,
-            label=prepared.handle,
-            steps=lowered.execution(self.catalog, opts, ctx=ctx),
-            steps_done=carry_steps,
-            first_seq=carry_first_seq,
-            on_done=on_done,
-            deadline=deadline,
-            sim_now=lambda: ctx.clock.now,
-            attempt=attempt,
-            cancel=future._cancel,
-            trace=attempt_trace,
+            query.future.query_id, query.future.tenant, query.prepared.handle,
+            lowered.execution(self.catalog, opts, ctx=ctx),
+            steps_done=carry_steps, first_seq=carry_first_seq, on_done=on_done,
+            deadline=query.deadline, sim_now=lambda: ctx.clock.now,
+            attempt=attempt, cancel=query.future._cancel, trace=ctx.trace,
         )
 
-    def _finalize_failure(
-        self,
-        task: QueryTask,
-        error: BaseException,
-        account: TenantAccount,
-        breaker: "CircuitBreaker",
-        future: QueryFuture,
+    def _retry_or_fail(
+        self, query: _Query, task: QueryTask, error: BaseException
     ) -> None:
-        """Settle a query's terminal non-success outcome everywhere:
-        ledger, metrics, breaker, lifecycle trace, future."""
-        if isinstance(error, QueryCancelled):
-            kind, metric = "cancelled", "serving_cancelled"
-            # Cancellation is a client action, not evidence about the
-            # plan: the breaker only releases its probe slot.
-            breaker.abandon()
-        elif isinstance(error, DeadlineExceeded):
-            kind, metric = "deadline_missed", "serving_deadline_missed"
-            # Deadlines are client budgets; a miss does not feed the
-            # breaker either (a poisoned plan fails, it does not dawdle).
-            breaker.abandon()
-        else:
-            kind, metric = "failed", "serving_failed"
-            breaker.record_failure(terminal=True)
-        account.settle_failure(kind, task.steps_done)
-        with self._metrics_lock:
-            self.metrics.counter(metric, tenant=account.name).inc()
-            if kind in ("failed", "deadline_missed"):
-                # Failures and deadline misses burn the error budget and
-                # count toward the handle's settled denominator even
-                # though they contribute no latency sample.
-                self.metrics.counter(
-                    "serving_handle_settled", handle=task.label
-                ).inc()
-                if self.slo is not None:
-                    self.metrics.counter(
-                        "serving_slo_miss", tenant=account.name
-                    ).inc()
-                    self.metrics.counter(
-                        "serving_slo_miss", handle=task.label
-                    ).inc()
-            self.metrics.gauge("serving_in_flight", tenant=account.name).add(-1)
-        self._record_lifecycle(
-            kind,
-            query_id=task.query_id,
-            tenant=account.name,
-            handle=task.label,
-            attempt=task.attempt,
-            reason=type(error).__name__,
-            at=task.elapsed(),
-            trace=task.trace,
-        )
-        journal = None
-        if task.trace is not None:
-            with self._journal_lock:
-                journal = self._journals_by_trace.get(task.trace.trace_id)
-        if journal is not None and not journal.settled:
-            journal.first_seq = task.first_seq
-            journal.last_seq = task.last_seq
-            journal.settle(
-                kind,
-                span_id=task.trace.span_id,
-                attempt=task.attempt,
-                sim_time=task.elapsed(),
-                steps=task.steps_done,
-                reason=type(error).__name__,
+        """Re-submit a retryable failure within budget; settle otherwise."""
+        retry = self.retry
+        if retry is not None and is_retryable(error):
+            if task.attempt < retry.max_attempts and not task.cancel.is_set():
+                backoff = retry.backoff(task.attempt)
+                query.journal.record_backoff(backoff)
+                self._file(
+                    query.journal, "retry_scheduled", span_id=task.trace.span_id,
+                    attempt=task.attempt, sim_time=task.elapsed(),
+                    backoff=backoff, reason=type(error).__name__,
+                )
+                try:
+                    self.scheduler.submit(
+                        self._make_attempt(
+                            query, task.attempt + 1, task.steps_done,
+                            task.first_seq, task.elapsed() + backoff,
+                        )
+                    )
+                except BaseException as exc:  # noqa: BLE001 - via future
+                    self._fail(query, task, exc)
+                return
+            error = RetriesExhausted(
+                f"query {task.query_id} ({task.label}) failed retryably "
+                f"on all {task.attempt} attempt(s)",
+                query_id=task.query_id, tenant=task.tenant, handle=task.label,
+                attempts=task.attempt, last_error=error,
             )
-            journal.wall_seconds = time.perf_counter() - journal._wall_start
-            self.registry.observe_journal(journal)
-        self._forget(task.query_id)
-        future._resolve(None, error)
+        self._fail(query, task, error)
 
-    def _forget(self, query_id: int) -> None:
-        with self._inflight_lock:
-            self._inflight.pop(query_id, None)
+    def _complete(
+        self, query: _Query, task: QueryTask, result: "ExecutionReport", frame: "Frame"
+    ) -> None:
+        """Settle a successful attempt: breaker, journal, future."""
+        query.breaker.record_success()
+        # Post-hoc causal stamping: the execution hot path ran cold; the
+        # surviving attempt's spans, substrate events, and recovery log
+        # are linked to the query here, once, at settlement.
+        stamp_report(result, task.trace)
+        span, rows, sim = task.trace.span_id, len(result.rows), result.simulated_time
+        journal = query.journal
+        self._file(
+            journal, "attempt_finished", span_id=span, attempt=task.attempt,
+            sim_time=sim, steps=task.steps_done, rows=rows,
+        )
+        journal.first_seq, journal.last_seq = task.first_seq, task.last_seq
+        self._file(
+            journal, "completed", span_id=span, attempt=task.attempt,
+            sim_time=sim, steps=task.steps_done, result_rows=rows,
+        )
+        outcome = QueryOutcome(
+            task.query_id, task.tenant, task.label, result, frame,
+            task.steps_done, task.first_seq, task.last_seq, journal, task.attempt,
+        )
+        query.future._resolve(outcome, None)
+
+    def _fail(self, query: _Query, task: QueryTask, error: BaseException) -> None:
+        """Settle a terminal non-success outcome: breaker, journal, future."""
+        if isinstance(error, (QueryCancelled, DeadlineExceeded)):
+            # Cancels and deadlines are client actions and budgets, not
+            # evidence about the plan (a poisoned plan fails, it does not
+            # dawdle): the breaker only releases its probe slot.
+            cancelled = isinstance(error, QueryCancelled)
+            kind = "cancelled" if cancelled else "deadline_missed"
+            query.breaker.abandon()
+        else:
+            kind = "failed"
+            query.breaker.record_failure(terminal=True)
+        query.journal.first_seq, query.journal.last_seq = task.first_seq, task.last_seq
+        self._file(
+            query.journal, kind, span_id=task.trace.span_id, attempt=task.attempt,
+            sim_time=task.elapsed(), steps=task.steps_done,
+            reason=type(error).__name__,
+        )
+        query.future._resolve(None, error)
 
     def _on_breaker_transition(self, handle: str, old: str, new: str) -> None:
-        transition = f"breaker_{new.replace('-', '_')}"
-        with self._metrics_lock:
-            self.metrics.gauge("serving_breaker_state", handle=handle).set(
-                BREAKER_STATE_CODES[new]
+        transition, code = f"breaker_{new.replace('-', '_')}", BREAKER_STATE_CODES[new]
+        with self._lock:
+            self.metrics.gauge("serving_breaker_state", handle=handle).set(code)
+            self._breaker_events.append(
+                lifecycle_event(transition, handle=handle, reason=f"{old}->{new}")
             )
-        self._record_lifecycle(transition, handle=handle, reason=f"{old}->{new}")
-
-    def _settle_admission(
-        self, journal: QueryJournal | None, terminal: str, reason: str
-    ) -> None:
-        """Settle a journal for a submission that never reached the
-        scheduler (shed / rejected / failed instantiation)."""
-        if journal is None or journal.settled:
-            return
-        journal.settle(terminal, reason=reason)
-        journal.wall_seconds = time.perf_counter() - journal._wall_start
-        self.registry.observe_journal(journal)
-
-    def _record_lifecycle(
-        self,
-        transition: str,
-        query_id: int = -1,
-        tenant: str = "",
-        handle: str = "",
-        attempt: int = 0,
-        reason: str = "",
-        at: float = 0.0,
-        trace: TraceContext | None = None,
-    ) -> None:
-        event = TraceEvent(
-            rank=DRIVER_RANK,
-            kind="lifecycle",
-            label=transition,
-            start=at,
-            end=at,
-            trace_id=trace.trace_id if trace is not None else "",
-            span_id=trace.span_id if trace is not None else "",
-            parent_span_id=trace.parent_span_id if trace is not None else "",
-            detail=LifecycleDetail(
-                transition=transition,
-                query_id=query_id,
-                tenant=tenant,
-                handle=handle,
-                attempt=attempt,
-                reason=reason,
-            ),
-        )
-        with self._events_lock:
-            self.lifecycle_events.append(event)
 
     # -- observability ------------------------------------------------------
 
+    @property
+    def lifecycle_events(self) -> list[TraceEvent]:
+        """Lifecycle transitions: derived from the journals in submission
+        order (:meth:`QueryJournal.lifecycle_events`), then the breakers'."""
+        with self._lock:
+            events = [e for j in self.journals for e in j.lifecycle_events()]
+            return events + self._breaker_events
+
     def snapshot(self):
         """Point-in-time snapshot of the serving metrics registry."""
-        return self.metrics.snapshot()
+        with self._lock:
+            return self.metrics.snapshot()
 
     def journal_for(self, trace_id: str) -> QueryJournal | None:
         """The journal minted for one trace id (``None`` if unknown)."""
-        with self._journal_lock:
-            return self._journals_by_trace.get(trace_id)
+        with self._lock:
+            return next((j for j in self.journals if j.trace_id == trace_id), None)
 
     def slo_report(self):
         """SLO accounting over the current snapshot (armed or not)."""
@@ -1019,40 +728,22 @@ class QuerySession:
         self.tenant = tenant
 
     def deploy(
-        self,
-        name: str,
-        query,
-        join_strategy: str = "exchange",
+        self, name: str, query, join_strategy: str = "exchange",
         defaults: RunOptions | None = None,
     ) -> PreparedPlan:
-        return self.server.deploy(
-            name, query, join_strategy=join_strategy, defaults=defaults
-        )
+        return self.server.deploy(name, query, join_strategy, defaults)
 
     def submit(
-        self,
-        handle: str,
-        options: RunOptions | None = None,
+        self, handle: str, options: RunOptions | None = None,
         deadline: float | None = None,
     ) -> QueryFuture:
-        return self.server.submit(
-            handle, tenant=self.tenant, options=options, deadline=deadline
-        )
+        return self.server.submit(handle, self.tenant, options, deadline)
 
     def run(
-        self,
-        handle: str,
-        options: RunOptions | None = None,
-        timeout: float | None = None,
-        deadline: float | None = None,
+        self, handle: str, options: RunOptions | None = None,
+        timeout: float | None = None, deadline: float | None = None,
     ) -> QueryOutcome:
-        return self.server.run(
-            handle,
-            tenant=self.tenant,
-            options=options,
-            timeout=timeout,
-            deadline=deadline,
-        )
+        return self.server.run(handle, self.tenant, options, timeout, deadline)
 
     def account(self) -> TenantAccount:
         return self.server.tenant(self.tenant)

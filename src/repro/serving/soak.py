@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -54,13 +54,14 @@ from repro.faults.policy import FaultPolicy, RetryPolicy
 from repro.mpi.cluster import SimCluster
 from repro.observability.slo import SLOConfig, SLOReport
 from repro.serving.lifecycle import BreakerConfig
-from repro.serving.server import QueryOutcome, Server
+from repro.serving.server import LEDGER_BUCKETS, QueryOutcome, Server
 from repro.tpch import ALL_QUERIES, load_catalog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import ExecutionReport
     from repro.mpi.trace import TraceEvent
     from repro.observability.tracing import QueryJournal
+    from repro.serving.registry import HandleStats
     from repro.serving.scheduler import SchedulerEvent
 
 __all__ = [
@@ -106,10 +107,8 @@ class SoakConfig:
     n_workers: int = 4
     #: Morsel steps per scheduling quantum.
     quantum: int = 1
-    #: Chaos profile name (:data:`CHAOS_PROFILES`).  ``bool`` is the
-    #: deprecated pre-profile spelling: ``True`` → ``"transient"``,
-    #: ``False`` → ``"none"``.
-    chaos: bool | str = "none"
+    #: Chaos profile name (:data:`CHAOS_PROFILES`).
+    chaos: str = "none"
     seed: int = 2021
     tenants: tuple[tuple[str, float], ...] = DEFAULT_TENANTS
     #: A tenant is "starved" if its steps-per-weight share drops below
@@ -145,19 +144,9 @@ class SoakConfig:
     slo_objective: float = 0.99
 
     def __post_init__(self) -> None:
-        chaos = self.chaos
-        if isinstance(chaos, bool):
-            if chaos:
-                warnings.warn(
-                    "SoakConfig(chaos=True) is deprecated; name a profile "
-                    "instead, e.g. chaos='transient'",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            object.__setattr__(self, "chaos", "transient" if chaos else "none")
-        elif chaos not in CHAOS_PROFILES:
+        if self.chaos not in CHAOS_PROFILES:
             raise ValueError(
-                f"unknown chaos profile {chaos!r}; pick one of {CHAOS_PROFILES}"
+                f"unknown chaos profile {self.chaos!r}; pick one of {CHAOS_PROFILES}"
             )
 
     @property
@@ -214,6 +203,8 @@ class SoakReport:
     reports_by_trace: dict[str, "ExecutionReport"] = field(default_factory=dict)
     #: SLO accounting (only when ``slo_target`` was set).
     slo: SLOReport | None = None
+    #: handle → the registry's per-handle statistics (a journal fold).
+    handle_stats: dict[str, "HandleStats"] = field(default_factory=dict)
 
     @property
     def bit_identical(self) -> bool:
@@ -244,28 +235,15 @@ class SoakReport:
 
         Per tenant: (1) every submission filed into exactly one outcome
         bucket, (2) nothing left in flight, (3) each ledger counter
-        equals its ``serving_*`` metric total.
+        equals its ``serving_*`` metric total.  The ledger and most of
+        those metrics are folds over the journals; ``serving_completed``
+        and ``serving_steps`` are the scheduler's independent record.
         """
         errors: list[str] = []
-        pairs = (
-            ("queries", "serving_completed"),
-            ("cancelled", "serving_cancelled"),
-            ("deadline_missed", "serving_deadline_missed"),
-            ("failed", "serving_failed"),
-            ("shed", "serving_shed"),
-            ("rejected", "serving_rejected"),
-            ("retries", "serving_retries"),
-            ("steps", "serving_steps"),
-        )
+        pairs = [(b, f"serving_{terminal}") for terminal, b in LEDGER_BUCKETS.items()]
+        pairs += [("retries", "serving_retries"), ("steps", "serving_steps")]
         for tenant, counts in sorted(self.ledger_counts.items()):
-            settled = (
-                counts["queries"]
-                + counts["cancelled"]
-                + counts["deadline_missed"]
-                + counts["failed"]
-                + counts["shed"]
-                + counts["rejected"]
-            )
+            settled = sum(counts[bucket] for bucket in LEDGER_BUCKETS.values())
             if counts["submitted"] != settled:
                 errors.append(
                     f"{tenant}: submitted {counts['submitted']} != settled "
@@ -294,13 +272,10 @@ class SoakReport:
         exactly one settled, terminal-consistent journal.
 
         Per tenant, the count of journals settled into each terminal
-        state must equal the corresponding ledger bucket — the journal
-        set and the ledger are two independent records of the same
-        lifecycle decisions.
+        state must equal the corresponding ledger bucket — a regression
+        check that the ledger fold saw every settlement exactly once.
         """
         errors: list[str] = []
-        if not self.journals:
-            return errors
         trace_ids = [j.trace_id for j in self.journals]
         if len(set(trace_ids)) != len(trace_ids):
             errors.append("duplicate trace ids across journals")
@@ -312,28 +287,22 @@ class SoakReport:
                 f"{len(self.journals)} journals != {submitted_total} ledger "
                 f"submissions"
             )
-        bucket_of = {
-            "completed": "queries",
-            "cancelled": "cancelled",
-            "deadline_missed": "deadline_missed",
-            "failed": "failed",
-            "shed": "shed",
-            "rejected": "rejected",
-        }
-        observed: dict[str, dict[str, int]] = {}
-        for journal in self.journals:
-            if not journal.terminal:
-                errors.append(f"journal {journal.trace_id} never settled")
-                continue
-            tenant_counts = observed.setdefault(journal.tenant, {})
-            tenant_counts[journal.terminal] = (
-                tenant_counts.get(journal.terminal, 0) + 1
-            )
+        errors += [
+            f"journal {j.trace_id} never settled" for j in self.journals
+            if not j.terminal
+        ]
+        for handle, count in sorted(Counter(j.handle for j in self.journals).items()):
+            stats = self.handle_stats.get(handle)
+            folded = sum(stats.terminals.values()) if stats is not None else 0
+            if folded != count:
+                errors.append(
+                    f"{handle}: HandleStats folded {folded} settlements != "
+                    f"{count} journals"
+                )
+        settled = Counter((j.tenant, j.terminal) for j in self.journals)
         for tenant, counts in sorted(self.ledger_counts.items()):
-            journal_counts = observed.get(tenant, {})
-            for terminal, bucket in bucket_of.items():
-                expected = counts[bucket]
-                got = journal_counts.get(terminal, 0)
+            for terminal, bucket in LEDGER_BUCKETS.items():
+                expected, got = counts[bucket], settled[tenant, terminal]
                 if expected != got:
                     errors.append(
                         f"{tenant}: {got} journals settled {terminal!r} != "
@@ -367,13 +336,11 @@ class SoakReport:
             "  ledger reconciliation: "
             + ("exact" if not reconciliation else f"BROKEN {reconciliation}")
         )
-        if self.journals:
-            journal_issues = self.journal_errors()
-            lines.append(
-                f"  journals: {len(self.journals)} "
-                + ("reconciled" if not journal_issues
-                   else f"BROKEN {journal_issues}")
-            )
+        journal_issues = self.journal_errors()
+        lines.append(
+            f"  journals: {len(self.journals)} "
+            + ("reconciled" if not journal_issues else f"BROKEN {journal_issues}")
+        )
         for tenant in sorted(self.shares):
             observed, entitled = self.shares[tenant]
             settled, serial = self.ledgers[tenant]
@@ -431,7 +398,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
     execution timing; that is what makes :attr:`SoakReport.lifecycle`
     exactly replayable.
     """
-    profile = str(config.chaos)
+    profile = config.chaos
     catalog = load_catalog(config.scale_factor, seed=config.seed)
     cluster = SimCluster(config.machines, seed=config.seed, trace=config.trace)
     faults = _chaos_policy(profile, config.seed)
@@ -543,6 +510,9 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
                 lifecycle["retried"].append(index)
             outcomes.append((name, outcome))
         concurrent_wall = time.perf_counter() - concurrent_start
+        # The scheduler bumps its own counters just after a future
+        # resolves; let it finish before the reconciliation reads them.
+        server.drain()
 
         results = tuple(
             SoakQueryResult(
@@ -597,16 +567,11 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
         }
         ledger_counts = {
             account.name: {
-                "submitted": account.submitted,
-                "queries": account.queries,
-                "cancelled": account.cancelled,
-                "deadline_missed": account.deadline_missed,
-                "failed": account.failed,
-                "shed": account.shed,
-                "rejected": account.rejected,
-                "retries": account.retries,
-                "in_flight": account.in_flight,
-                "steps": account.steps,
+                key: getattr(account, key)
+                for key in (
+                    "submitted", "retries", "in_flight", "steps",
+                    *LEDGER_BUCKETS.values(),
+                )
             }
             for account in server.tenants()
             if account.submitted or account.name != "default"
@@ -616,13 +581,8 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
         metric_counts = {
             name: snapshot.by_label(name, "tenant")
             for name in (
-                "serving_completed",
-                "serving_cancelled",
-                "serving_deadline_missed",
-                "serving_failed",
-                "serving_shed",
+                *(f"serving_{terminal}" for terminal in LEDGER_BUCKETS),
                 "serving_retries",
-                "serving_rejected",
                 "serving_steps",
                 "serving_in_flight",
             )
@@ -631,15 +591,12 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
         scheduler_events = tuple(server.scheduler.trace or ())
         lifecycle_events = tuple(server.lifecycle_events)
         reports_by_trace = (
-            {
-                outcome.journal.trace_id: outcome.report
-                for _, outcome in outcomes
-                if outcome.journal is not None
-            }
+            {outcome.journal.trace_id: outcome.report for _, outcome in outcomes}
             if config.trace
             else {}
         )
         slo_report = server.slo_report() if slo is not None else None
+        handle_stats = server.registry.stats()
 
     return SoakReport(
         config=config,
@@ -658,6 +615,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
         lifecycle_events=lifecycle_events,
         reports_by_trace=reports_by_trace,
         slo=slo_report,
+        handle_stats=handle_stats,
     )
 
 

@@ -10,10 +10,14 @@ exhaustion, shed, breaker quarantine) end to end, including the tenant
 ledger's conservation invariant.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.options import RunOptions
 from repro.errors import (
+    AdmissionError,
     CircuitOpenError,
     DeadlineExceeded,
     OverloadShedError,
@@ -411,3 +415,51 @@ class TestLedgerConservation:
             assert snap.value("serving_steps", tenant="default") == (
                 account.steps
             )
+
+    def test_max_pending_is_a_hard_cap_under_concurrent_submits(
+        self, catalog, cluster
+    ):
+        # Eight threads pass a barrier together and submit while the
+        # interpreter switches threads as often as it can: the cap check
+        # and the slot reservation must be one atomic step, or several
+        # submitters all see room and overshoot the cap.
+        n_threads, cap = 8, 2
+        with Server(
+            cluster, catalog, n_workers=2, max_pending=cap, start=False
+        ) as server:
+            handle = server.deploy("q12", q12()).handle
+            barrier = threading.Barrier(n_threads)
+            admitted, rejected = [], []
+
+            def submit():
+                barrier.wait()
+                try:
+                    admitted.append(server.submit(handle))
+                except AdmissionError:
+                    rejected.append(1)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=submit) for _ in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(admitted) == cap
+            assert len(rejected) == n_threads - cap
+            assert server.tenant("default").in_flight == cap
+            server.start()
+            for future in admitted:
+                assert future.result(timeout=60).frame.n_rows > 0
+            account = server.tenant("default")
+            assert account.submitted == n_threads
+            assert account.queries == cap
+            assert account.rejected == n_threads - cap
+            assert account.settled_total() == account.submitted
+            assert account.in_flight == 0

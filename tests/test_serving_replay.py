@@ -10,8 +10,10 @@ space with hypothesis.
 
 Frame verification is off (`verify_frames=False`): bit-identity is the
 soak's own gate (``tests/test_serving_soak.py``); here only the
-lifecycle id sets and the ledger's conservation invariant are asserted,
-which keeps each example to two small soak runs.
+lifecycle id sets, the ledger's conservation invariant, and the
+agreement of the journal folds (ledger, ``HandleStats``) with the
+journals and the scheduler's counters are asserted, which keeps each
+example to two small soak runs.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -44,6 +46,15 @@ def _lifecycle_of(kwargs: dict):
         )
     )
     assert report.reconciliation_errors() == []
+    assert report.journal_errors() == []
+    # HandleStats is a fold over the journals: every settlement of every
+    # handle lands in exactly one terminal bucket.
+    handles = {journal.handle for journal in report.journals}
+    assert set(report.handle_stats) == handles
+    for handle in handles:
+        journals = [j for j in report.journals if j.handle == handle]
+        terminals = report.handle_stats[handle].terminals
+        assert sum(terminals.values()) == len(journals), handle
     return report.lifecycle
 
 

@@ -103,15 +103,10 @@ class TestConcurrency:
 
 
 class TestChaosProfiles:
-    def test_bool_chaos_is_a_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="chaos"):
-            config = SoakConfig(chaos=True)
-        assert config.chaos == "transient"
-        assert SoakConfig(chaos=False).chaos == "none"
-
     def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="chaos"):
-            SoakConfig(chaos="meteor-strike")
+        for chaos in ("meteor-strike", True):
+            with pytest.raises(ValueError, match="chaos"):
+                SoakConfig(chaos=chaos)
 
     def test_profile_names_are_closed(self):
         assert set(CHAOS_PROFILES) == {
